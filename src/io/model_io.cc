@@ -33,8 +33,6 @@ class ConfigKvView {
     BindFloat("rsr.positive_weight", &c->rsr.positive_weight);
     BindFloat("rsr.label_smoothing", &c->rsr.label_smoothing);
     BindU64("rsr.seed", &c->rsr.seed);
-    BindRnnKind("rsr.rnn_kind", &c->rsr.rnn_kind);
-    BindSize("rsr.num_layers", &c->rsr.num_layers);
 
     BindSize("asd.label_dim", &c->asd.label_dim);
     BindFloat("asd.lr", &c->asd.lr);
@@ -127,12 +125,6 @@ class ConfigKvView {
   void BindU64(const char* key, uint64_t* p) {
     getters_.emplace(key, [p] { return static_cast<double>(*p); });
     setters_.emplace(key, [p](double v) { *p = static_cast<uint64_t>(v); });
-  }
-  void BindRnnKind(const char* key, nn::RnnKind* p) {
-    getters_.emplace(key, [p] { return static_cast<double>(*p); });
-    setters_.emplace(key, [p](double v) {
-      *p = v != 0.0 ? nn::RnnKind::kGru : nn::RnnKind::kLstm;
-    });
   }
   void BindBool(const char* key, bool* p) {
     getters_.emplace(key, [p] { return *p ? 1.0 : 0.0; });

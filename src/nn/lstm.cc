@@ -4,6 +4,43 @@
 
 namespace rl4oasd::nn {
 
+void LstmBatchState::Gather(std::span<const LstmState* const> states,
+                            size_t hidden) {
+  const size_t batch = states.size();
+  if (h.rows() != hidden || h.cols() != batch) {
+    h.Resize(hidden, batch);
+    c.Resize(hidden, batch);
+  }
+  for (size_t b = 0; b < batch; ++b) {
+    RL4_CHECK_EQ(states[b]->h.size(), hidden);
+    float* hcol = h.data() + b;
+    float* ccol = c.data() + b;
+    const float* sh = states[b]->h.data();
+    const float* sc = states[b]->c.data();
+    for (size_t r = 0; r < hidden; ++r) {
+      hcol[r * batch] = sh[r];
+      ccol[r * batch] = sc[r];
+    }
+  }
+}
+
+void LstmBatchState::Scatter(std::span<LstmState* const> states) const {
+  const size_t batch = states.size();
+  RL4_CHECK_EQ(batch, h.cols());
+  const size_t hidden = h.rows();
+  for (size_t b = 0; b < batch; ++b) {
+    RL4_CHECK_EQ(states[b]->h.size(), hidden);
+    const float* hcol = h.data() + b;
+    const float* ccol = c.data() + b;
+    float* sh = states[b]->h.data();
+    float* sc = states[b]->c.data();
+    for (size_t r = 0; r < hidden; ++r) {
+      sh[r] = hcol[r * batch];
+      sc[r] = ccol[r * batch];
+    }
+  }
+}
+
 Lstm::Lstm(std::string name, size_t input_dim, size_t hidden_dim,
            rl4oasd::Rng* rng)
     : input_dim_(input_dim),
@@ -58,15 +95,14 @@ void Lstm::StepForward(const float* x, LstmState* state) const {
   }
 }
 
-void Lstm::StepForwardBatch(const Matrix& x, Matrix* h_mat,
-                            Matrix* c_mat) const {
+void Lstm::StepForwardBatch(const Matrix& x, LstmBatchState* state) const {
   const size_t H = hidden_dim_;
   const size_t B = x.cols();
   RL4_CHECK_EQ(x.rows(), input_dim_);
-  RL4_CHECK_EQ(h_mat->rows(), H);
-  RL4_CHECK_EQ(h_mat->cols(), B);
-  RL4_CHECK_EQ(c_mat->rows(), H);
-  RL4_CHECK_EQ(c_mat->cols(), B);
+  RL4_CHECK_EQ(state->h.rows(), H);
+  RL4_CHECK_EQ(state->h.cols(), B);
+  RL4_CHECK_EQ(state->c.rows(), H);
+  RL4_CHECK_EQ(state->c.cols(), B);
   // Same accumulation order as the scalar ComputeGates: Wx x, then + b,
   // then + Wh h_prev, then the activations. Thread-local scratch: fully
   // overwritten every call (MatMul resizes), so steady-state waves do no
@@ -74,7 +110,7 @@ void Lstm::StepForwardBatch(const Matrix& x, Matrix* h_mat,
   static thread_local Matrix gates;  // 4H x B
   MatMul(wx_.value, x, &gates);
   AddBiasPerRow(&gates, b_.value.Row(0));
-  MatMulAccum(wh_.value, *h_mat, &gates);
+  MatMulAccum(wh_.value, state->h, &gates);
   float* g = gates.data();
   const size_t hb = H * B;
   for (size_t i = 0; i < hb; ++i) g[i] = Sigmoid(g[i]);                // i
@@ -85,8 +121,8 @@ void Lstm::StepForwardBatch(const Matrix& x, Matrix* h_mat,
   const float* fg = g + hb;
   const float* gg = g + 2 * hb;
   const float* og = g + 3 * hb;
-  float* c = c_mat->data();
-  float* h = h_mat->data();
+  float* c = state->c.data();
+  float* h = state->h.data();
   for (size_t i = 0; i < hb; ++i) {
     c[i] = fg[i] * c[i] + ig[i] * gg[i];
     h[i] = og[i] * Tanh(c[i]);

@@ -6,6 +6,7 @@
 //     incoming road segments; StepForward advances one segment in O(H^2).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,7 +28,8 @@ struct LstmState {
 
 /// Recurrent state of a batch of B streaming LSTMs: feature-major (H x B)
 /// matrices whose column b is sample b's state, so the gate pre-activations
-/// of the whole batch are two GEMMs.
+/// of the whole batch are two GEMMs. Built by gathering per-stream states,
+/// advanced by Lstm::StepForwardBatch, scattered back.
 struct LstmBatchState {
   Matrix h;  // H x B
   Matrix c;  // H x B
@@ -35,10 +37,11 @@ struct LstmBatchState {
   LstmBatchState() = default;
   LstmBatchState(size_t hidden, size_t batch)
       : h(hidden, batch), c(hidden, batch) {}
-  void Reset() {
-    h.SetZero();
-    c.SetZero();
-  }
+
+  /// Copies states[b] (each of length `hidden`) into column b.
+  void Gather(std::span<const LstmState* const> states, size_t hidden);
+  /// Copies column b back into states[b].
+  void Scatter(std::span<LstmState* const> states) const;
 };
 
 /// Per-step cache retained by sequence-mode forward for BPTT.
@@ -70,13 +73,7 @@ class Lstm {
   /// as one (4H x I) * (I x B) GEMM (plus the recurrent (4H x H) * (H x B)),
   /// and column b's result matches StepForward on sample b's state (<= 1e-6
   /// relative; see Gemm's equivalence contract). Inference only.
-  void StepForwardBatch(const Matrix& x, LstmBatchState* state) const {
-    StepForwardBatch(x, &state->h, &state->c);
-  }
-
-  /// As above on raw (H x B) hidden/cell matrices (the RecurrentNet adapter
-  /// and StackedRnn own their state storage directly).
-  void StepForwardBatch(const Matrix& x, Matrix* h, Matrix* c) const;
+  void StepForwardBatch(const Matrix& x, LstmBatchState* state) const;
 
   /// Sequence forward from the zero state. Returns per-step caches (the
   /// hidden output of step t is caches[t].h). The input projection of all

@@ -129,36 +129,45 @@ TEST(RsrNetTest, DeterministicAcrossInstances) {
   }
 }
 
-TEST(RsrNetGruTest, GruCoreTrainsAndStreams) {
-  // RSRNet with the GRU core must expose the same API behaviour as the LSTM
-  // version: loss decreases under training and the streaming z matches the
-  // sequence forward.
-  RsrNetConfig cfg;
-  cfg.num_edges = 50;
-  cfg.embed_dim = 8;
+TEST(RsrNetTest, RegistryLayoutAndInitIsPinned) {
+  // Model bundles store the registry as (name, shape, values) in this
+  // order, and the golden regression depends on the construction-time RNG
+  // draws. Pinning names, shapes, order and a hash of the initial weights
+  // shows that a bundle saved by an earlier build still loads into the
+  // same tensors with the same values.
+  RsrNetConfig cfg = TinyConfig(20);
+  cfg.embed_dim = 6;
   cfg.nrf_dim = 4;
-  cfg.hidden_dim = 8;
-  cfg.rnn_kind = nn::RnnKind::kGru;
+  cfg.hidden_dim = 5;
   RsrNet net(cfg);
-
-  std::vector<traj::EdgeId> edges = {3, 7, 11, 15, 19, 23};
-  std::vector<uint8_t> nrf = {0, 0, 1, 1, 1, 0};
-  std::vector<uint8_t> labels = {0, 0, 1, 1, 1, 0};
-
-  const double before = net.Loss(edges, nrf, labels);
-  for (int i = 0; i < 60; ++i) net.TrainStep(edges, nrf, labels);
-  EXPECT_LT(net.Loss(edges, nrf, labels), before);
-
-  const RsrForward fwd = net.Forward(edges, nrf);
-  RsrStream stream(cfg.hidden_dim);
-  for (size_t i = 0; i < edges.size(); ++i) {
-    std::array<float, 2> probs;
-    const nn::Vec z = net.StepForward(edges[i], nrf[i], &stream, &probs);
-    ASSERT_EQ(z.size(), fwd.z[i].size());
-    for (size_t k = 0; k < z.size(); ++k) {
-      EXPECT_NEAR(z[k], fwd.z[i][k], 1e-5f) << "i=" << i;
+  struct Expected {
+    const char* name;
+    size_t rows;
+    size_t cols;
+  };
+  const Expected expected[] = {
+      {"rsr.tcf", 20, 6},      // num_edges x E
+      {"rsr.nrf", 2, 4},       // 2 x N
+      {"rsr.lstm.wx", 20, 6},  // 4H x E
+      {"rsr.lstm.wh", 20, 5},  // 4H x H
+      {"rsr.lstm.b", 1, 20},   // 1 x 4H
+      {"rsr.head.w", 2, 9},    // 2 x (H + N)
+      {"rsr.head.b", 1, 2},
+  };
+  const auto& params = net.registry()->params();
+  ASSERT_EQ(params.size(), std::size(expected));
+  uint64_t hash = 14695981039346656037ULL;  // FNV-1a over the value bytes
+  for (size_t k = 0; k < params.size(); ++k) {
+    EXPECT_EQ(params[k]->name, expected[k].name);
+    EXPECT_EQ(params[k]->value.rows(), expected[k].rows) << expected[k].name;
+    EXPECT_EQ(params[k]->value.cols(), expected[k].cols) << expected[k].name;
+    const auto* bytes =
+        reinterpret_cast<const unsigned char*>(params[k]->value.data());
+    for (size_t i = 0; i < params[k]->value.size() * sizeof(float); ++i) {
+      hash = (hash ^ bytes[i]) * 1099511628211ULL;
     }
   }
+  EXPECT_EQ(hash, 0x8a4087378abb8d95ULL);
 }
 
 }  // namespace

@@ -470,11 +470,17 @@ TEST_F(ModelBundleTest, AbsentConfigKeysRestoreDefaults) {
   // Key-value level: a bundle written before a config field existed simply
   // lacks its key — reading must keep the compiled-in default.
   BinaryWriter w;
-  w.WriteU32(2);
+  w.WriteU32(4);
   w.WriteString("preprocess.alpha");
   w.WriteF64(0.42);
   w.WriteString("a.key.from.the.future");  // unknown keys are skipped
   w.WriteF64(7.0);
+  // Keys of the removed recurrent-core options, which older bundles carry:
+  // skipped like any unknown key, so those bundles still load.
+  w.WriteString("rsr.rnn_kind");
+  w.WriteF64(0.0);
+  w.WriteString("rsr.num_layers");
+  w.WriteF64(1.0);
   BinaryReader r(w.buffer());
   core::Rl4OasdConfig cfg;
   const core::Rl4OasdConfig defaults;

@@ -455,18 +455,15 @@ TEST_F(FleetSnapshotTest, SessionImportRejectsLies) {
   }
 }
 
-TEST_F(FleetSnapshotTest, StackedRnnNeverFedTripSnapshotRestores) {
-  // Regression: a never-fed session's stream must already carry the full
-  // num_layers * hidden state so its exported record round-trips — with a
-  // stacked core, lazily sizing the stream to hidden_dim made a snapshot
-  // the monitor itself just wrote unrestorable.
-  core::Rl4OasdConfig cfg = TinyConfig();
-  cfg.rsr.num_layers = 2;
-  const auto model = std::make_shared<core::Rl4Oasd>(net_, cfg);
+TEST_F(FleetSnapshotTest, NeverFedTripSnapshotRestores) {
+  // Regression: a never-fed session's stream must already carry a full
+  // hidden state so its exported record round-trips — a lazily sized
+  // (empty) stream made a snapshot the monitor itself just wrote
+  // unrestorable.
   const auto picks = PickTrips(3);
 
   EventSink sink;
-  FleetMonitor monitor(model.get(), {}, &sink);
+  FleetMonitor monitor(model_, {}, &sink);
   // Vehicle 0 never fed; vehicle 1 fed a few points.
   ASSERT_TRUE(monitor.StartTrip(0, picks[0]->sd(), picks[0]->start_time).ok());
   ASSERT_TRUE(monitor.StartTrip(1, picks[1]->sd(), picks[1]->start_time).ok());
@@ -477,7 +474,7 @@ TEST_F(FleetSnapshotTest, StackedRnnNeverFedTripSnapshotRestores) {
   ASSERT_TRUE(monitor.Snapshot(&w).ok());
 
   EventSink resumed_sink;
-  FleetMonitor resumed(model.get(), {}, &resumed_sink);
+  FleetMonitor resumed(model_, {}, &resumed_sink);
   BinaryReader r(w.buffer());
   const Status st = resumed.Restore(&r);
   ASSERT_TRUE(st.ok()) << st.ToString();

@@ -72,12 +72,20 @@ int LengthGroupOf(size_t trajectory_length) {
 
 std::string FormatGroupedRow(const std::string& method,
                              const GroupedScores& scores) {
+  // F1 is undefined with no ground-truth anomaly and no detection; such a
+  // group prints a dash in each 5-column cell instead of a 0.000 that would
+  // read as a detector finding nothing.
+  auto cell = [](const Scores& sc) {
+    if (sc.num_gt_anomalies == 0 && sc.num_detected == 0) {
+      return std::string("    —     —");
+    }
+    return StrFormat("%.3f %.3f", sc.f1, sc.tf1);
+  };
   std::string row = StrFormat("%-22s", method.c_str());
   for (int g = 0; g < kNumLengthGroups; ++g) {
-    row += StrFormat("  %.3f %.3f", scores.groups[g].f1,
-                     scores.groups[g].tf1);
+    row += "  " + cell(scores.groups[g]);
   }
-  row += StrFormat("  | %.3f %.3f", scores.overall.f1, scores.overall.tf1);
+  row += "  | " + cell(scores.overall);
   return row;
 }
 

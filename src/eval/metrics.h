@@ -81,7 +81,8 @@ GroupedScores EvaluateGrouped(const traj::Dataset& test, DetectFn&& detect,
 }
 
 /// Formats a GroupedScores row as the paper prints Table III cells
-/// ("F1 TF1" per group, then overall).
+/// ("F1 TF1" per group, then overall). A group with no ground-truth anomaly
+/// and no detection has no defined F1 and prints "—" in both columns.
 std::string FormatGroupedRow(const std::string& method,
                              const GroupedScores& scores);
 

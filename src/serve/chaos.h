@@ -97,6 +97,19 @@ struct ChaosCounts {
   /// Expected guard dropout-gap events: drop runs exposed by a later
   /// emitted point of the same vehicle.
   int64_t drop_gaps = 0;
+
+  /// Field-wise sum, for tallying many Perturb calls.
+  ChaosCounts& operator+=(const ChaosCounts& o) {
+    input += o.input;
+    emitted += o.emitted;
+    dropped += o.dropped;
+    duplicated += o.duplicated;
+    reordered += o.reordered;
+    skewed += o.skewed;
+    teleported += o.teleported;
+    drop_gaps += o.drop_gaps;
+    return *this;
+  }
 };
 
 /// Deterministic stream perturber. Not thread-safe; one injector per

@@ -102,6 +102,39 @@ TEST(F1EvaluatorTest, EmptyEvaluatorIsZero) {
   EXPECT_DOUBLE_EQ(s.tf1, 0.0);
 }
 
+// Display width of a UTF-8 string: count every byte that starts a code
+// point (continuation bytes are 10xxxxxx).
+size_t DisplayWidth(const std::string& s) {
+  size_t width = 0;
+  for (const char c : s) {
+    if ((static_cast<unsigned char>(c) & 0xC0) != 0x80) ++width;
+  }
+  return width;
+}
+
+TEST(FormatGroupedRowTest, EmptyGroupPrintsAlignedDash) {
+  F1Evaluator miss, false_positive, perfect;
+  miss.Add({0, 1, 1, 0}, {0, 0, 0, 0});
+  false_positive.Add({0, 0, 0}, {0, 1, 0});
+  perfect.Add({0, 1, 1, 0}, {0, 1, 1, 0});
+  GroupedScores scores;
+  scores.groups[0] = F1Evaluator().Compute();  // no anomaly, no detection
+  scores.groups[1] = miss.Compute();
+  scores.groups[2] = false_positive.Compute();
+  scores.groups[3] = perfect.Compute();
+  scores.overall = perfect.Compute();
+
+  // Only the empty group is undefined; a miss and a false positive are real
+  // zeros and keep printing 0.000.
+  const std::string row = FormatGroupedRow("M", scores);
+  EXPECT_EQ(row,
+            "M                           —     —  0.000 0.000  0.000 0.000"
+            "  1.000 1.000  | 1.000 1.000");
+
+  scores.groups[0] = perfect.Compute();
+  EXPECT_EQ(DisplayWidth(row), DisplayWidth(FormatGroupedRow("M", scores)));
+}
+
 TEST(LengthGroupTest, PaperBoundaries) {
   EXPECT_EQ(LengthGroupOf(5), 0);
   EXPECT_EQ(LengthGroupOf(14), 0);

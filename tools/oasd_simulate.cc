@@ -4,22 +4,26 @@
 // deployment-shaped counterpart of oasd_detect (which streams one
 // trajectory at a time).
 //
+// One replay driver serves every mode. A trip's point stream is a pure
+// function of its vehicle id: the clean edges at the paper's 2 s spacing,
+// or (--matched-ingest) noisy GPS fixes sampled along the route and matched
+// back to edges by the streaming map matcher, then (--chaos) perturbed by a
+// fault injector seeded per vehicle. Each replay thread keeps a rolling
+// window of max(1, --batch) live trips and sends one point per live trip
+// per wave; the ingest mode decides only how a wave enters the monitor:
+// Feed (--batch 0), FeedBatch (--batch N), or, under --async, SubmitBatch
+// into the self-batching shard workers with async alert delivery.
+//
 // Durable serving: --snapshot-every N writes a fleet snapshot (live LSTM
 // states, DL windows, RNG positions, counters, and the replay cursor) every
-// N points; --resume-from restores one and continues the replay exactly
-// where it stopped — the remaining alert stream is bit-identical to the
-// uninterrupted run (both require --threads 1, the deterministic replay).
+// N points; --resume-from restores one, re-derives each live trip's stream,
+// and continues exactly where it stopped — the remaining alert stream is
+// bit-identical to the uninterrupted run's.
 //
-// Async serving: --async stages every point through the monitor's
-// self-batching shard ingest workers (Submit/SubmitEndTrip, non-blocking)
-// with alert delivery on the async delivery worker; the replay threads
-// become pure producers and Quiesce() drains the pipeline before the
-// summary.
-//
-// Matched ingest: --matched-ingest replays each trip through the live GPS
-// front end — noisy fixes sampled along the ground-truth route (seeded per
-// vehicle), matched back to edges by the streaming map matcher — so the
-// monitor ingests what a deployment would actually see.
+// Four flag combinations are refused, each with its reason in the error
+// text: the durable flags (--snapshot-every/--resume-from/--max-points)
+// with --threads != 1, with --chaos, or with --adapt; and --async with
+// --adapt.
 //
 //   oasd_simulate --data-dir data --model data/model.rlmb --threads 4
 //   oasd_simulate ... --async --ingest-workers 4
@@ -29,6 +33,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -76,6 +81,26 @@ bool DecodeCursor(const std::string& meta, size_t* next) {
   return end != nullptr && *end == '\0';
 }
 
+/// One trip's replay: its StartTrip time, its whole point stream, and how
+/// many of those points the monitor has been sent.
+struct LiveTrip {
+  int64_t vid = 0;
+  double start_time = 0.0;
+  std::vector<serve::FleetPoint> points;
+  size_t pos = 0;
+};
+
+/// One replay thread's state: its vehicle ids in replay order (todo[0,
+/// next) are started or done), its live window, its streaming map-matcher
+/// scratch (--matched-ingest), and its --chaos ground truth.
+struct Replayer {
+  std::vector<int64_t> todo;
+  size_t next = 0;
+  std::vector<LiveTrip> live;
+  std::unique_ptr<mapmatch::StreamingMatcher> matcher;
+  serve::ChaosCounts chaos;
+};
+
 int Main(int argc, char** argv) {
   FlagSet flags("oasd_simulate",
                 "replay a dataset as a live fleet through a trained model");
@@ -87,8 +112,9 @@ int Main(int argc, char** argv) {
   flags.AddInt("repeat", 1, "replay the dataset this many times");
   flags.AddInt("max-active", 100000, "active-trip cap (evicts stalest)");
   flags.AddInt("batch", 0,
-               "concurrent trips per ingest thread, fed one point each per "
-               "FeedBatch wave so the model steps fuse (0 = per-point Feed)");
+               "concurrent trips per replay thread, one point each per wave "
+               "(FeedBatch, or SubmitBatch under --async) so the model steps "
+               "fuse (0 = one trip at a time through per-point Feed)");
   flags.AddBool("print-alerts", false, "print each alert as it fires");
   flags.AddBool("async", false,
                 "stage ingest through the self-batching shard workers "
@@ -201,12 +227,54 @@ int Main(int argc, char** argv) {
     g.malformed_budget = 8;
   }
   const bool async = flags.GetBool("async");
+  const bool adapt = flags.GetBool("adapt");
+  const int threads = std::max(1, static_cast<int>(flags.GetInt("threads")));
+  const int repeat = std::max(1, static_cast<int>(flags.GetInt("repeat")));
+  const size_t batch_size =
+      static_cast<size_t>(std::max<int64_t>(0, flags.GetInt("batch")));
+  // Live trips per replay thread; --batch 0 replays one trip at a time.
+  const size_t window = std::max<size_t>(1, batch_size);
+
+  const int64_t snapshot_every =
+      std::max<int64_t>(0, flags.GetInt("snapshot-every"));
+  const int64_t max_points = std::max<int64_t>(0, flags.GetInt("max-points"));
+  const std::string snapshot_path = flags.GetString("snapshot-path").empty()
+                                        ? data_dir + "/fleet.snap"
+                                        : flags.GetString("snapshot-path");
+  const std::string resume_path = flags.GetString("resume-from");
+  const bool durable_mode =
+      snapshot_every > 0 || max_points > 0 || !resume_path.empty();
+  const char* refusal = nullptr;
+  if (durable_mode && threads != 1) {
+    refusal =
+        "--snapshot-every/--resume-from/--max-points require --threads 1: "
+        "the replay cursor assumes one deterministic producer";
+  } else if (durable_mode && chaos) {
+    refusal =
+        "--chaos cannot be combined with --snapshot-every/--resume-from/"
+        "--max-points: the repairing guard drops points, so a trip's "
+        "points_fed is not a position in its perturbed stream";
+  } else if (durable_mode && adapt) {
+    refusal =
+        "--adapt cannot be combined with --snapshot-every/--resume-from/"
+        "--max-points: a hot swap changes the serving model, and Restore "
+        "checks the snapshot against the fingerprint of the model it was "
+        "taken with";
+  } else if (async && adapt) {
+    refusal =
+        "--async cannot be combined with --adapt: the drift adapter "
+        "harvests labels from synchronous sink callbacks";
+  }
+  if (refusal != nullptr) {
+    std::fprintf(stderr, "error: %s\n", refusal);
+    return 1;
+  }
+
   if (async) {
     fleet_cfg.ingest_workers = static_cast<size_t>(
         std::max<int64_t>(1, flags.GetInt("ingest-workers")));
     fleet_cfg.async_alerts = true;
   }
-  const bool adapt = flags.GetBool("adapt");
   std::shared_ptr<const core::Rl4Oasd> shared_model = std::move(model);
   std::unique_ptr<serve::DriftAdapter> adapter;
   std::unique_ptr<serve::FleetMonitor> plain_monitor;
@@ -229,64 +297,8 @@ int Main(int argc, char** argv) {
   serve::FleetMonitor& monitor =
       adapt ? *adapter->monitor() : *plain_monitor;
 
-  int threads = std::max(1, static_cast<int>(flags.GetInt("threads")));
-  const int repeat = std::max(1, static_cast<int>(flags.GetInt("repeat")));
-  size_t batch_size =
-      static_cast<size_t>(std::max<int64_t>(0, flags.GetInt("batch")));
-
-  const int64_t snapshot_every =
-      std::max<int64_t>(0, flags.GetInt("snapshot-every"));
-  const int64_t max_points = std::max<int64_t>(0, flags.GetInt("max-points"));
-  const std::string snapshot_path = flags.GetString("snapshot-path").empty()
-                                        ? data_dir + "/fleet.snap"
-                                        : flags.GetString("snapshot-path");
-  const std::string resume_path = flags.GetString("resume-from");
-  const bool durable_mode =
-      snapshot_every > 0 || max_points > 0 || !resume_path.empty();
-  if (durable_mode && threads != 1) {
-    std::fprintf(stderr,
-                 "error: --snapshot-every/--resume-from/--max-points require "
-                 "--threads 1 (the deterministic replay)\n");
-    return 1;
-  }
-  if (durable_mode && adapt) {
-    std::fprintf(stderr,
-                 "error: --adapt cannot be combined with snapshot/resume — "
-                 "a hot-swap changes the serving model, and Restore "
-                 "fingerprint-guards the snapshot against the model it was "
-                 "taken with\n");
-    return 1;
-  }
-  if (chaos && durable_mode) {
-    std::fprintf(stderr,
-                 "error: --chaos is incompatible with snapshot/resume/"
-                 "--max-points — the replay cursor indexes the clean "
-                 "dataset, not a perturbed stream\n");
-    return 1;
-  }
-  if (async && (durable_mode || batch_size > 0 || adapt)) {
-    std::fprintf(stderr,
-                 "error: --async is incompatible with --batch (the ingest "
-                 "workers form their own micro-batch waves), with "
-                 "snapshot/resume/--max-points (the deterministic replay), "
-                 "and with --adapt (the drift adapter harvests labels from "
-                 "synchronous sink callbacks)\n");
-    return 1;
-  }
   const bool matched_ingest = flags.GetBool("matched-ingest");
   const double gps_noise = flags.GetDouble("gps-noise");
-  if (matched_ingest && (durable_mode || chaos || batch_size > 0)) {
-    std::fprintf(stderr,
-                 "error: --matched-ingest supports the per-point and --async "
-                 "paths only — the snapshot cursor and --chaos index the "
-                 "clean edge stream, and the batched waves assume "
-                 "ground-truth trip lengths\n");
-    return 1;
-  }
-  // Snapshot/resume rides the batched loop; --batch 0 degenerates to
-  // one-trip waves, which FeedBatch runs through the scalar path.
-  if (durable_mode && batch_size == 0) batch_size = 1;
-
   // The GPS front end for --matched-ingest: one immutable matcher shared by
   // every replay thread (each thread brings its own streaming scratch).
   std::unique_ptr<mapmatch::HmmMapMatcher> gps_matcher;
@@ -296,33 +308,183 @@ int Main(int argc, char** argv) {
   std::atomic<int64_t> matched_trips{0};
   std::atomic<int64_t> unmatched_trips{0};
 
-  // Resumed state, keyed back to dataset positions via the deterministic
-  // vid = rep * size + index assignment below.
-  struct ResumedTrip {
-    int64_t vid = 0;
-    size_t pos = 0;
+  // Vehicle ids are rep * dataset size + index, so every id maps back to
+  // its dataset trajectory.
+  auto trajectory_of = [&](int64_t vid) -> const traj::MapMatchedTrajectory& {
+    return input[static_cast<size_t>(vid) % input.size()].traj;
   };
-  std::vector<ResumedTrip> resumed;
-  size_t resume_cursor = 0;
-  bool has_resume = false;
+  // A trip's replay stream. The GPS sampler and the chaos injector are both
+  // seeded by the vehicle id, so the stream depends neither on --threads nor
+  // on which trips ran before it. An empty stream (a trip the GPS front end
+  // cannot match) is skipped.
+  auto make_stream = [&](int64_t vid, Replayer* r) {
+    const traj::MapMatchedTrajectory& t = trajectory_of(vid);
+    LiveTrip s;
+    s.vid = vid;
+    auto fill = [&](double start_time, const std::vector<traj::EdgeId>& edges) {
+      s.start_time = start_time;
+      s.points.reserve(edges.size());
+      double ts = start_time;
+      for (traj::EdgeId e : edges) {
+        s.points.push_back({vid, e, ts});
+        ts += 2.0;  // paper's sampling rate
+      }
+    };
+    if (!matched_ingest) {
+      fill(t.start_time, t.edges);
+    } else {
+      traj::GpsSamplerConfig gps_cfg;
+      gps_cfg.noise_sigma_m = gps_noise;
+      traj::GpsSampler sampler(&net, gps_cfg,
+                               /*seed=*/1234567u + static_cast<uint64_t>(vid));
+      const traj::RawTrajectory raw = sampler.Sample(t);
+      r->matcher->Reset(vid);
+      for (const traj::RawPoint& pt : raw.points) r->matcher->MatchPoint(pt);
+      const auto matched = r->matcher->Finish();
+      if (!matched.ok() || matched->edges.size() < 2) {
+        unmatched_trips.fetch_add(1);
+        return s;
+      }
+      matched_trips.fetch_add(1);
+      fill(matched->start_time, matched->edges);
+    }
+    if (chaos) {
+      serve::ChaosSpec spec = chaos_spec;
+      spec.seed += static_cast<uint64_t>(vid);
+      serve::ChaosInjector injector(spec, &net);
+      s.points = injector.Perturb(s.points);
+      r->chaos += injector.counts();
+    }
+    return s;
+  };
+
+  std::vector<Replayer> replayers(static_cast<size_t>(threads));
+  for (int th = 0; th < threads; ++th) {
+    Replayer& r = replayers[static_cast<size_t>(th)];
+    for (int rep = 0; rep < repeat; ++rep) {
+      for (size_t i = static_cast<size_t>(th); i < input.size();
+           i += static_cast<size_t>(threads)) {
+        if (input[i].traj.edges.size() < 2) continue;
+        r.todo.push_back(static_cast<int64_t>(rep) *
+                             static_cast<int64_t>(input.size()) +
+                         static_cast<int64_t>(i));
+      }
+    }
+    if (matched_ingest) {
+      r.matcher =
+          std::make_unique<mapmatch::StreamingMatcher>(gps_matcher.get());
+    }
+  }
+
   if (!resume_path.empty()) {
+    // Durable mode has one replay thread. Its window is rebuilt from the
+    // restored trips: each stream is re-derived and continues at the point
+    // the snapshot recorded. Restore fingerprint-guards the model, but the
+    // dataset is not stamped, so the cursor and every trip position are
+    // checked against this replay: a resume against the wrong (or
+    // regenerated) dataset fails cleanly instead of indexing past a stream.
+    Replayer& r = replayers[0];
     auto reader = tools::ExitIfError(BinaryReader::OpenFile(resume_path));
     serve::FleetMonitor::RestoreInfo rinfo;
     tools::ExitIfError(monitor.Restore(&reader, &rinfo));
-    if (!DecodeCursor(rinfo.user_meta, &resume_cursor)) {
+    if (!DecodeCursor(rinfo.user_meta, &r.next)) {
       std::fprintf(stderr,
                    "error: snapshot carries no oasd_simulate replay cursor "
                    "(metadata: \"%s\")\n",
                    rinfo.user_meta.c_str());
       return 1;
     }
-    for (const auto& t : rinfo.trips) {
-      resumed.push_back({t.vehicle_id, t.points_fed});
+    bool fits = !input.empty() && r.next <= r.todo.size();
+    for (size_t k = 0; fits && k < rinfo.trips.size(); ++k) {
+      LiveTrip l = make_stream(rinfo.trips[k].vehicle_id, &r);
+      l.pos = rinfo.trips[k].points_fed;
+      fits = l.pos < l.points.size();
+      r.live.push_back(std::move(l));
     }
-    has_resume = true;
+    if (!fits) {
+      std::fprintf(stderr,
+                   "error: snapshot does not match the replay dataset "
+                   "(cursor %zu of %zu trips, or a live trip's history "
+                   "outruns its stream) — resume with the dataset the "
+                   "snapshot was taken from\n",
+                   r.next, r.todo.size());
+      return 1;
+    }
     std::printf("resumed %zu live trips (cursor %zu) from %s\n",
-                resumed.size(), resume_cursor, resume_path.c_str());
+                r.live.size(), r.next, resume_path.c_str());
   }
+
+  std::atomic<int64_t> points{0};
+  // A replay thread: a rolling window of live trips, one point per live
+  // trip per wave, so FeedBatch (or an ingest worker) fuses the wave's
+  // model steps. Only how a wave and a trip end enter the monitor depends
+  // on the ingest mode.
+  auto replay = [&](Replayer& r) {
+    auto refill = [&] {
+      while (r.live.size() < window && r.next < r.todo.size()) {
+        const int64_t vid = r.todo[r.next++];
+        LiveTrip l = make_stream(vid, &r);
+        if (l.points.empty()) continue;
+        const traj::SdPair sd = trajectory_of(vid).sd();
+        if (monitor.StartTrip(vid, sd, l.start_time).ok()) {
+          r.live.push_back(std::move(l));
+        }
+      }
+    };
+    int64_t fed_points = 0;
+    int64_t next_snap = snapshot_every;
+    std::vector<serve::FleetPoint> wave;
+    wave.reserve(window);
+    refill();
+    while (!r.live.empty()) {
+      wave.clear();
+      for (const LiveTrip& l : r.live) wave.push_back(l.points[l.pos]);
+      if (async) {
+        (void)monitor.SubmitBatch(wave);
+      } else if (batch_size == 0) {
+        (void)monitor.Feed(wave[0].vehicle_id, wave[0].edge,
+                           wave[0].timestamp);
+      } else {
+        (void)monitor.FeedBatch(wave);
+      }
+      fed_points += static_cast<int64_t>(wave.size());
+      // Count points as fed, not at trip completion: a resumed run must
+      // not claim the pre-crash history and a --max-points run must
+      // count its live trips' points, or the points/s summary lies.
+      points.fetch_add(static_cast<int64_t>(wave.size()));
+      for (size_t k = r.live.size(); k-- > 0;) {
+        LiveTrip& l = r.live[k];
+        if (++l.pos < l.points.size()) continue;
+        if (async) {
+          (void)monitor.SubmitEndTrip(l.vid);
+        } else {
+          (void)monitor.EndTrip(l.vid);
+        }
+        r.live.erase(r.live.begin() + static_cast<ptrdiff_t>(k));
+      }
+      refill();
+      if (snapshot_every > 0 && fed_points >= next_snap) {
+        next_snap += snapshot_every;
+        // After refill, trips todo[0, next) are started or done, so the
+        // cursor is exactly `next`; a resume restores the live window and
+        // continues the replay from here. Quiesce first so the snapshot
+        // covers every point sent (a no-op when ingest is synchronous).
+        monitor.Quiesce();
+        BinaryWriter w;
+        tools::ExitIfError(monitor.Snapshot(&w, EncodeCursor(r.next)));
+        tools::ExitIfError(w.WriteToFile(snapshot_path));
+        std::printf("snapshot: %s (cursor %zu, %zu live trips)\n",
+                    snapshot_path.c_str(), r.next, monitor.ActiveTrips());
+      }
+      if (max_points > 0 && fed_points >= max_points) {
+        monitor.Quiesce();
+        std::printf("stopping after %lld points (%zu trips still live)\n",
+                    static_cast<long long>(fed_points),
+                    monitor.ActiveTrips());
+        break;
+      }
+    }
+  };
 
   std::printf("replaying %zu trips x%d across %d threads%s...\n",
               input.size(), repeat, threads,
@@ -331,272 +493,12 @@ int Main(int argc, char** argv) {
                                : "");
 
   Stopwatch sw;
-  std::atomic<int64_t> points{0};
-  std::vector<serve::ChaosCounts> chaos_by_thread(
-      static_cast<size_t>(threads));
   std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (int th = 0; th < threads; ++th) {
-    workers.emplace_back([&, th] {
-      // This worker's assignments, in replay order.
-      std::vector<std::pair<int64_t, const traj::MapMatchedTrajectory*>> todo;
-      for (int rep = 0; rep < repeat; ++rep) {
-        for (size_t i = static_cast<size_t>(th); i < input.size();
-             i += static_cast<size_t>(threads)) {
-          if (input[i].traj.edges.size() < 2) continue;
-          todo.emplace_back(
-              static_cast<int64_t>(rep) * static_cast<int64_t>(input.size()) +
-                  static_cast<int64_t>(i),
-              &input[i].traj);
-        }
-      }
-      // One injector per worker, distinctly seeded, so the perturbed
-      // stream is deterministic for a given (--chaos seed, --threads).
-      std::unique_ptr<serve::ChaosInjector> injector;
-      if (chaos) {
-        serve::ChaosSpec spec = chaos_spec;
-        spec.seed = chaos_spec.seed + static_cast<uint64_t>(th);
-        injector = std::make_unique<serve::ChaosInjector>(spec, &net);
-      }
-      // Materializes one trip's clean point stream, perturbs it, and rolls
-      // the injector's ground truth into this thread's tally.
-      auto perturb_trip = [&](int64_t vid,
-                              const traj::MapMatchedTrajectory* t) {
-        std::vector<serve::FleetPoint> pts;
-        pts.reserve(t->edges.size());
-        double ts = t->start_time;
-        for (traj::EdgeId e : t->edges) {
-          pts.push_back({vid, e, ts});
-          ts += 2.0;  // paper's sampling rate
-        }
-        pts = injector->Perturb(pts);
-        const serve::ChaosCounts& c = injector->counts();
-        serve::ChaosCounts& tally = chaos_by_thread[static_cast<size_t>(th)];
-        tally.input += c.input;
-        tally.emitted += c.emitted;
-        tally.dropped += c.dropped;
-        tally.duplicated += c.duplicated;
-        tally.reordered += c.reordered;
-        tally.skewed += c.skewed;
-        tally.teleported += c.teleported;
-        tally.drop_gaps += c.drop_gaps;
-        return pts;
-      };
-      // --matched-ingest: drive the trip through the GPS front end. The
-      // sampler is seeded per vehicle (not per thread), so the noisy fixes
-      // — and therefore the matched stream — do not depend on --threads.
-      std::unique_ptr<mapmatch::StreamingMatcher> stream;
-      if (matched_ingest) {
-        stream = std::make_unique<mapmatch::StreamingMatcher>(
-            gps_matcher.get());
-      }
-      auto match_trip = [&](int64_t vid, const traj::MapMatchedTrajectory* t) {
-        traj::GpsSamplerConfig gps_cfg;
-        gps_cfg.noise_sigma_m = gps_noise;
-        traj::GpsSampler sampler(&net, gps_cfg,
-                                 /*seed=*/1234567u + static_cast<uint64_t>(vid));
-        traj::RawTrajectory raw = sampler.Sample(*t);
-        stream->Reset(vid);
-        for (const traj::RawPoint& pt : raw.points) stream->MatchPoint(pt);
-        std::vector<serve::FleetPoint> pts;
-        auto matched = stream->Finish();
-        if (!matched.ok() || matched->edges.size() < 2) {
-          unmatched_trips.fetch_add(1);
-          return pts;
-        }
-        matched_trips.fetch_add(1);
-        double ts = matched->start_time;
-        pts.reserve(matched->edges.size());
-        for (traj::EdgeId e : matched->edges) {
-          pts.push_back({vid, e, ts});
-          ts += 2.0;  // paper's sampling rate
-        }
-        return pts;
-      };
-      if (async) {
-        // Producer role: stage everything and move on. The shard workers
-        // form the micro-batch waves; a full staging lane applies the
-        // configured backpressure (kBlock by default, so nothing drops).
-        for (const auto& [vid, t] : todo) {
-          if (matched_ingest) {
-            const std::vector<serve::FleetPoint> pts = match_trip(vid, t);
-            if (pts.empty()) continue;
-            if (!monitor.StartTrip(vid, t->sd(), pts.front().timestamp).ok()) {
-              continue;
-            }
-            for (const serve::FleetPoint& p : pts) (void)monitor.Submit(p);
-            (void)monitor.SubmitEndTrip(vid);
-            points.fetch_add(static_cast<int64_t>(pts.size()));
-            continue;
-          }
-          if (!monitor.StartTrip(vid, t->sd(), t->start_time).ok()) continue;
-          if (injector) {
-            const std::vector<serve::FleetPoint> pts = perturb_trip(vid, t);
-            for (const serve::FleetPoint& p : pts) (void)monitor.Submit(p);
-            (void)monitor.SubmitEndTrip(vid);
-            points.fetch_add(static_cast<int64_t>(pts.size()));
-            continue;
-          }
-          double ts = t->start_time;
-          for (traj::EdgeId e : t->edges) {
-            (void)monitor.Submit({vid, e, ts});
-            ts += 2.0;  // paper's sampling rate
-          }
-          (void)monitor.SubmitEndTrip(vid);
-          points.fetch_add(static_cast<int64_t>(t->edges.size()));
-        }
-        return;
-      }
-      if (batch_size == 0) {
-        for (const auto& [vid, t] : todo) {
-          if (matched_ingest) {
-            const std::vector<serve::FleetPoint> pts = match_trip(vid, t);
-            if (pts.empty()) continue;
-            if (!monitor.StartTrip(vid, t->sd(), pts.front().timestamp).ok()) {
-              continue;
-            }
-            for (const serve::FleetPoint& p : pts) {
-              (void)monitor.Feed(p.vehicle_id, p.edge, p.timestamp);
-            }
-            (void)monitor.EndTrip(vid);
-            points.fetch_add(static_cast<int64_t>(pts.size()));
-            continue;
-          }
-          if (!monitor.StartTrip(vid, t->sd(), t->start_time).ok()) continue;
-          if (injector) {
-            const std::vector<serve::FleetPoint> pts = perturb_trip(vid, t);
-            for (const serve::FleetPoint& p : pts) {
-              (void)monitor.Feed(p.vehicle_id, p.edge, p.timestamp);
-            }
-            (void)monitor.EndTrip(vid);
-            points.fetch_add(static_cast<int64_t>(pts.size()));
-            continue;
-          }
-          double ts = t->start_time;
-          for (traj::EdgeId e : t->edges) {
-            (void)monitor.Feed(vid, e, ts);
-            ts += 2.0;  // paper's sampling rate
-          }
-          (void)monitor.EndTrip(vid);
-          points.fetch_add(static_cast<int64_t>(t->edges.size()));
-        }
-        return;
-      }
-      // Batched ingest: a rolling window of `batch_size` concurrent trips,
-      // one point per live trip per wave, so FeedBatch fuses the whole
-      // wave's model steps (a batch of one vehicle's points would fall
-      // back to scalar one-point waves).
-      struct Live {
-        const traj::MapMatchedTrajectory* t;
-        int64_t vid;
-        size_t pos = 0;
-        double ts = 0.0;
-        /// Under --chaos, the trip's perturbed stream; fed by position
-        /// instead of indexing the clean edge vector.
-        std::vector<serve::FleetPoint> pts;
-      };
-      std::vector<Live> live;
-      size_t next = 0;
-      if (has_resume) {
-        // Rebuild the rolling window from the restored trips: each resumed
-        // vid maps back to its dataset trajectory (vid = rep * size + i)
-        // and continues from the exact point the snapshot recorded. The
-        // model is fingerprint-guarded by Restore, but the dataset is not
-        // stamped — validate every cursor against the actual trajectory so
-        // a resume against the wrong (or regenerated) dataset fails
-        // cleanly instead of indexing past an edge vector.
-        next = resume_cursor;
-        for (const ResumedTrip& rt : resumed) {
-          const auto& t =
-              input[static_cast<size_t>(rt.vid) % input.size()].traj;
-          if (rt.pos >= t.edges.size() || next > todo.size()) {
-            std::fprintf(stderr,
-                         "error: snapshot does not match the replay dataset "
-                         "(vehicle %lld has %zu points of history, "
-                         "trajectory has %zu edges; cursor %zu of %zu) — "
-                         "resume with the dataset the snapshot was taken "
-                         "from\n",
-                         static_cast<long long>(rt.vid), rt.pos,
-                         t.edges.size(), next, todo.size());
-            std::exit(1);
-          }
-          live.push_back({&t, rt.vid, rt.pos,
-                          t.start_time + 2.0 * static_cast<double>(rt.pos),
-                          {}});
-        }
-      }
-      int64_t fed_points = 0;
-      int64_t next_snap = snapshot_every;
-      auto refill = [&] {
-        while (live.size() < batch_size && next < todo.size()) {
-          const auto& [vid, t] = todo[next++];
-          if (!monitor.StartTrip(vid, t->sd(), t->start_time).ok()) continue;
-          Live l{t, vid, 0, t->start_time, {}};
-          if (injector) {
-            l.pts = perturb_trip(vid, t);
-            if (l.pts.empty()) {
-              // Every point dropped: the trip starts and ends empty.
-              (void)monitor.EndTrip(vid);
-              continue;
-            }
-          }
-          live.push_back(std::move(l));
-        }
-      };
-      std::vector<serve::FleetPoint> wave;
-      wave.reserve(batch_size);
-      refill();
-      while (!live.empty()) {
-        wave.clear();
-        for (const Live& l : live) {
-          wave.push_back(injector
-                             ? l.pts[l.pos]
-                             : serve::FleetPoint{l.vid, l.t->edges[l.pos],
-                                                 l.ts});
-        }
-        (void)monitor.FeedBatch(wave);
-        fed_points += static_cast<int64_t>(wave.size());
-        // Count points as fed, not at trip completion: a resumed run must
-        // not claim the pre-crash history and a --max-points run must
-        // count its live trips' points, or the points/s summary lies.
-        points.fetch_add(static_cast<int64_t>(wave.size()));
-        for (Live& l : live) {
-          ++l.pos;
-          l.ts += 2.0;
-        }
-        for (size_t k = live.size(); k-- > 0;) {
-          const size_t len =
-              injector ? live[k].pts.size() : live[k].t->edges.size();
-          if (live[k].pos == len) {
-            (void)monitor.EndTrip(live[k].vid);
-            live.erase(live.begin() + static_cast<ptrdiff_t>(k));
-          }
-        }
-        refill();
-        if (snapshot_every > 0 && fed_points >= next_snap) {
-          next_snap += snapshot_every;
-          // After refill, trips todo[0, next) are started or done, so the
-          // cursor is exactly `next`; a resume restores the live window and
-          // continues the replay from here.
-          BinaryWriter w;
-          tools::ExitIfError(monitor.Snapshot(&w, EncodeCursor(next)));
-          tools::ExitIfError(w.WriteToFile(snapshot_path));
-          std::printf("snapshot: %s (cursor %zu, %zu live trips)\n",
-                      snapshot_path.c_str(), next, monitor.ActiveTrips());
-        }
-        if (max_points > 0 && fed_points >= max_points) {
-          std::printf("stopping after %lld points (%zu trips still live)\n",
-                      static_cast<long long>(fed_points),
-                      monitor.ActiveTrips());
-          break;
-        }
-      }
-    });
-  }
+  for (Replayer& r : replayers) workers.emplace_back(replay, std::ref(r));
   for (auto& w : workers) w.join();
   // Producers only staged work in async mode; the wall clock must cover the
   // drain, or points/s would count staged-not-processed points.
-  if (async) monitor.Quiesce();
+  monitor.Quiesce();
   const double elapsed = sw.ElapsedSeconds();
 
   const serve::FleetStats stats = monitor.Stats();
@@ -628,16 +530,7 @@ int Main(int argc, char** argv) {
   }
   if (chaos) {
     serve::ChaosCounts cc;
-    for (const serve::ChaosCounts& c : chaos_by_thread) {
-      cc.input += c.input;
-      cc.emitted += c.emitted;
-      cc.dropped += c.dropped;
-      cc.duplicated += c.duplicated;
-      cc.reordered += c.reordered;
-      cc.skewed += c.skewed;
-      cc.teleported += c.teleported;
-      cc.drop_gaps += c.drop_gaps;
-    }
+    for (const Replayer& r : replayers) cc += r.chaos;
     std::printf("  chaos:      %lld clean -> %lld perturbed points "
                 "(%lld dropped, %lld duplicated, %lld reordered, "
                 "%lld skewed, %lld teleported, %lld gap events)\n",

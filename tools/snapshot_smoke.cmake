@@ -1,10 +1,14 @@
 # Snapshot round-trip smoke (ctest target `snapshot_roundtrip_smoke`):
-# generate a tiny fleet workload, train a tiny model, replay to a mid-stream
+# generate a tiny fleet workload, train a tiny model, then for each of three
+# ingest modes (batched FeedBatch, async SubmitBatch, and matched ingest
+# through the GPS front end, all with --batch 4) replay to a mid-stream
 # snapshot and stop (a simulated crash at a snapshot boundary), resume in a
 # fresh process, and require the union of the crash-run and resumed-run
-# alert streams to equal the uninterrupted run's alert stream exactly.
+# alert streams to equal that mode's uninterrupted alert stream exactly.
+# The uninterrupted --batch 0, --batch 4 and --async replays of the clean
+# stream must also print the same alert multiset.
 #
-# On failure the work dir — including fleet.snap, the three replay logs, and
+# On failure the work dir — including the snapshots, the replay logs, and
 # the model bundle — is left behind for triage; the CI jobs upload it as an
 # artifact. On success it is removed.
 #
@@ -17,85 +21,52 @@ foreach(var OASD_GEN OASD_TRAIN OASD_SIMULATE OASD_INSPECT WORK_DIR)
   endif()
 endforeach()
 
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
+include(${CMAKE_CURRENT_LIST_DIR}/smoke_common.cmake)
+list(APPEND simulate --threads 1)
 
-function(run_step log_name)
-  execute_process(
-    COMMAND ${ARGN}
-    RESULT_VARIABLE rc
-    OUTPUT_FILE ${WORK_DIR}/${log_name}
-    ERROR_FILE ${WORK_DIR}/${log_name})
-  if(NOT rc EQUAL 0)
-    file(READ ${WORK_DIR}/${log_name} log)
-    message(FATAL_ERROR "step '${log_name}' failed (${rc}):\n${log}")
+# One mode's round trip: the uninterrupted replay (<tag>_full.log), a crash
+# at the first snapshot boundary (~mid-stream of the ~1.6k points), and a
+# fresh-process resume from <tag>.snap. The per-vehicle alert multisets of
+# the uninterrupted run and of crash + resume combined must match exactly.
+function(crash_resume tag)
+  run_step(${tag}_full.log ${simulate} ${ARGN})
+  run_step(${tag}_crash.log ${simulate} ${ARGN}
+    --snapshot-every 800 --max-points 800
+    --snapshot-path ${WORK_DIR}/${tag}.snap)
+  run_step(${tag}_resume.log ${simulate} ${ARGN}
+    --resume-from ${WORK_DIR}/${tag}.snap)
+  matching_lines(full_alerts "^ALERT " ${tag}_full.log)
+  matching_lines(split_alerts "^ALERT " ${tag}_crash.log ${tag}_resume.log)
+  list(LENGTH full_alerts n_full)
+  if(n_full EQUAL 0)
+    message(FATAL_ERROR "smoke is vacuous: the uninterrupted ${tag} replay "
+      "produced no alerts (work dir kept at ${WORK_DIR})")
   endif()
+  require_same("restore-equivalence violated (${tag})"
+    uninterrupted "${full_alerts}" crash+resume "${split_alerts}")
+  message(STATUS "${tag}: ${n_full} alerts identical across the "
+    "crash/resume boundary")
 endfunction()
 
-# Tiny but alert-rich workload: high anomaly ratio so the equivalence check
-# is not vacuous, fixed seeds so the replay is deterministic.
-run_step(gen.log ${OASD_GEN} --out-dir ${WORK_DIR}
-  --grid-rows 10 --grid-cols 10 --pairs 6 --min-trajs 30 --max-trajs 60
-  --train-size 400 --min-pair-dist 800 --max-pair-dist 2500
-  --anomaly-ratio 0.3)
-run_step(train.log ${OASD_TRAIN} --data-dir ${WORK_DIR}
-  --model ${WORK_DIR}/model.rlmb --hidden-dim 16 --embed-dim 16
-  --pretrain-samples 60 --joint-samples 120)
-
-# Reference: the uninterrupted replay.
-run_step(full.log ${OASD_SIMULATE} --data-dir ${WORK_DIR}
-  --model ${WORK_DIR}/model.rlmb --threads 1 --batch 4 --print-alerts)
-
-# Crash at the first snapshot boundary (~mid-stream of the ~1.6k points).
-run_step(crash.log ${OASD_SIMULATE} --data-dir ${WORK_DIR}
-  --model ${WORK_DIR}/model.rlmb --threads 1 --batch 4 --print-alerts
-  --snapshot-every 800 --max-points 800
-  --snapshot-path ${WORK_DIR}/fleet.snap)
+crash_resume(batched --batch 4)
+crash_resume(async --async --batch 4)
+crash_resume(matched --matched-ingest --batch 4)
 
 # The snapshot must describe cleanly (exercises oasd_inspect dispatch).
-run_step(inspect.log ${OASD_INSPECT} ${WORK_DIR}/fleet.snap --trips)
+run_step(inspect.log ${OASD_INSPECT} ${WORK_DIR}/batched.snap --trips)
 
-# Fresh-process resume from the snapshot.
-run_step(resume.log ${OASD_SIMULATE} --data-dir ${WORK_DIR}
-  --model ${WORK_DIR}/model.rlmb --threads 1 --batch 4 --print-alerts
-  --resume-from ${WORK_DIR}/fleet.snap)
+# Mode equivalence on the clean stream: one trip at a time through Feed,
+# four-trip FeedBatch waves, and the async staged pipeline.
+run_step(feed.log ${simulate} --batch 0)
+run_step(async_feed.log ${simulate} --async)
+matching_lines(batched_alerts "^ALERT " batched_full.log)
+matching_lines(feed_alerts "^ALERT " feed.log)
+matching_lines(async_feed_alerts "^ALERT " async_feed.log)
+require_same("ingest modes disagree: --batch 0 != --batch 4 alerts"
+  "--batch 0" "${feed_alerts}" "--batch 4" "${batched_alerts}")
+require_same("ingest modes disagree: --async != --batch 4 alerts"
+  "--async" "${async_feed_alerts}" "--batch 4" "${batched_alerts}")
 
-# Per-vehicle alert multisets must match exactly: sort the ALERT lines of
-# the uninterrupted run against crash + resume combined.
-function(alert_lines out)
-  set(lines)
-  foreach(log ${ARGN})
-    file(READ ${WORK_DIR}/${log} content)
-    # An unbalanced "[" inside a CMake list element swallows the ";"
-    # separators that follow it; the alert ranges print as "[a,b)", so
-    # normalize the bracket away before any list operation.
-    string(REPLACE "[" "<" content "${content}")
-    string(REPLACE "\n" ";" content "${content}")
-    foreach(line ${content})
-      if(line MATCHES "^ALERT ")
-        list(APPEND lines "${line}")
-      endif()
-    endforeach()
-  endforeach()
-  list(SORT lines)
-  set(${out} "${lines}" PARENT_SCOPE)
-endfunction()
-
-alert_lines(full_alerts full.log)
-alert_lines(split_alerts crash.log resume.log)
-
-list(LENGTH full_alerts n_full)
-if(n_full EQUAL 0)
-  message(FATAL_ERROR
-    "smoke is vacuous: the uninterrupted replay produced no alerts")
-endif()
-if(NOT "${full_alerts}" STREQUAL "${split_alerts}")
-  message(FATAL_ERROR
-    "restore-equivalence violated: uninterrupted alerts != crash+resume "
-    "alerts\n--- uninterrupted ---\n${full_alerts}\n--- crash+resume ---\n"
-    "${split_alerts}\n(work dir kept at ${WORK_DIR})")
-endif()
-
-message(STATUS "snapshot smoke OK: ${n_full} alerts identical across the "
-  "crash/resume boundary")
+message(STATUS "snapshot smoke OK: three ingest modes restore-equivalent, "
+  "--batch 0/--batch 4/--async alert multisets identical")
 file(REMOVE_RECURSE ${WORK_DIR})

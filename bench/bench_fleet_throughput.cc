@@ -11,7 +11,8 @@
 //      acquisition per shard per batch instead of one per point.
 //   3. Micro-batch sweep (`--batch` runs just this): single-thread batched
 //      ingest with one point per trip per wave at batch width B in
-//      {1, 8, 32, 128}, points/s and us/point vs the scalar Feed baseline.
+//      {1, 8, 32, 128}, points/s and us/point vs per-point Feed (the same
+//      width-1 model step, without the wave set-up).
 //      The win is GEMM/cache efficiency — the fused (4H x I) * (I x B)
 //      gate matmuls vectorize over the batch dimension — not threading.
 //   4. Per-point cost vs trip length: alert extraction is incremental
@@ -47,7 +48,7 @@ double Percentile(std::vector<int64_t>* ns, double p) {
 
 /// Replays `trips` through the monitor at batch width B: B concurrent trips,
 /// one point per live trip per wave, one FeedBatch call per wave (B == 0
-/// means scalar per-point Feed). Returns {points fed, seconds}.
+/// means per-point Feed). Returns {points fed, seconds}.
 std::pair<int64_t, double> ReplayAtWidth(const core::Rl4Oasd& model,
                                          const std::vector<const traj::LabeledTrajectory*>& trips,
                                          size_t width) {
@@ -113,10 +114,10 @@ void RunBatchSweep(const core::Rl4Oasd& model,
   printf("\n--- micro-batch sweep (single thread, one point per trip per "
          "wave) ---\n");
   printf("%-14s %14s %12s %10s\n", "Width", "points/s", "us/point",
-         "vs scalar");
+         "vs Feed");
   const auto [base_fed, base_s] = ReplayAtWidth(model, trips, 0);
   const double base_rate = static_cast<double>(base_fed) / base_s;
-  printf("%-14s %14.0f %12.3f %9.2fx\n", "Feed (scalar)", base_rate,
+  printf("%-14s %14.0f %12.3f %9.2fx\n", "Feed", base_rate,
          base_s * 1e6 / static_cast<double>(base_fed), 1.0);
   for (const size_t width : {size_t{1}, size_t{8}, size_t{32}, size_t{128}}) {
     const auto [fed, s] = ReplayAtWidth(model, trips, width);
@@ -132,7 +133,8 @@ int main(int argc, char** argv) {
   FlagSet flags("bench_fleet_throughput",
                 "Fleet-monitor ingest throughput benchmarks");
   flags.AddBool("batch", false,
-                "run only the micro-batch sweep (batched vs scalar ingest)");
+                "run only the micro-batch sweep (FeedBatch vs per-point "
+                "Feed)");
   flags.AddBool("tiny", false,
                 "seconds-scale smoke workload (CTest registration)");
   const Status st = flags.Parse(argc, argv);

@@ -1,10 +1,10 @@
 // Microbenchmarks of the hot paths behind the paper's efficiency claims
-// (google-benchmark): LSTM streaming step, policy action, the full
-// per-point detector Feed, preprocessor lookups, discrete-Frechet row
-// update, and bounded shortest paths — plus batch sweeps (B in {1, 8, 32,
-// 128}) of the GEMM-backed batched inference path at each layer (LSTM cell,
-// RSRNet step, detector FeedBatch), reported per *point* so the batched
-// rows read directly against their streaming counterparts.
+// (google-benchmark): policy action, preprocessor lookups, discrete-Frechet
+// row update, and bounded shortest paths — plus width sweeps (B in {1, 8,
+// 32, 128}) of the one streaming model step at each layer (LSTM cell,
+// RSRNet step, detector FeedBatch), reported per *point*. Width 1 is the
+// single-trip step that Session::Feed and FleetMonitor::Feed run, so
+// `/1` rows are the per-point costs of the paper's Fig. 3.
 #include <cstdio>
 
 #include <benchmark/benchmark.h>
@@ -45,20 +45,6 @@ MicroFixture& Fixture() {
   return f;
 }
 
-void BM_LstmStreamingStep(benchmark::State& state) {
-  auto& f = Fixture();
-  core::RsrStream stream(f.model.rsrnet().config().hidden_dim);
-  size_t i = 0;
-  const auto& edges = f.long_traj.edges;
-  for (auto _ : state) {
-    auto z = f.model.rsrnet().StepForward(edges[i % edges.size()], 0, &stream,
-                                          nullptr);
-    benchmark::DoNotOptimize(z.data());
-    ++i;
-  }
-}
-BENCHMARK(BM_LstmStreamingStep);
-
 void BM_PolicyAction(benchmark::State& state) {
   auto& f = Fixture();
   nn::Vec z(f.model.rsrnet().z_dim(), 0.1f);
@@ -67,23 +53,6 @@ void BM_PolicyAction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PolicyAction);
-
-void BM_DetectorPerPoint(benchmark::State& state) {
-  auto& f = Fixture();
-  const auto& t = f.long_traj;
-  auto session = f.model.StartSession(t.sd(), t.start_time);
-  size_t i = 0;
-  for (auto _ : state) {
-    if (i == t.edges.size()) {
-      state.PauseTiming();
-      session = f.model.StartSession(t.sd(), t.start_time);
-      i = 0;
-      state.ResumeTiming();
-    }
-    benchmark::DoNotOptimize(session.Feed(t.edges[i++]));
-  }
-}
-BENCHMARK(BM_DetectorPerPoint);
 
 void BM_TransitionFractionLookup(benchmark::State& state) {
   auto& f = Fixture();
@@ -156,9 +125,8 @@ void BM_FleetFeed(benchmark::State& state) {
 BENCHMARK(BM_FleetFeed);
 
 void BM_LstmStepBatch(benchmark::State& state) {
-  // Batched counterpart of BM_LstmStreamingStep: one fused (4H x I) x
-  // (I x B) step for B streams. items == points, so time-per-item is the
-  // per-point cost to compare against the streaming row.
+  // The raw LSTM step: one fused (4H x I) x (I x B) step for B streams.
+  // items == points, so time-per-item is the per-point cost.
   Rng rng(3);
   auto& f = Fixture();
   const size_t embed = f.model.rsrnet().config().embed_dim;
@@ -176,8 +144,8 @@ void BM_LstmStepBatch(benchmark::State& state) {
 BENCHMARK(BM_LstmStepBatch)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_RsrStepBatch(benchmark::State& state) {
-  // Full batched RSRNet streaming step: embedding gather, fused recurrent
-  // GEMMs, state scatter, z assembly.
+  // Full RSRNet streaming step: embedding gather, fused recurrent GEMMs,
+  // state scatter, z assembly. Width 1 is RsrNet::StepForward's cost.
   auto& f = Fixture();
   const auto B = static_cast<size_t>(state.range(0));
   std::vector<core::RsrStream> streams(B);
@@ -202,8 +170,9 @@ void BM_RsrStepBatch(benchmark::State& state) {
 BENCHMARK(BM_RsrStepBatch)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_DetectorFeedBatch(benchmark::State& state) {
-  // Batched counterpart of BM_DetectorPerPoint: B concurrent sessions
-  // advanced one segment per call through OnlineDetector::FeedBatch.
+  // The detector's per-point step: B concurrent sessions advanced one
+  // segment per call through OnlineDetector::FeedBatch. Width 1 is
+  // Session::Feed's cost.
   auto& f = Fixture();
   const auto& t = f.long_traj;
   const auto B = static_cast<size_t>(state.range(0));

@@ -97,18 +97,22 @@ std::vector<double> SeqVaeDetector::DecodeNll(
   nn::Vec zproj(config_.embed_dim);
   z_to_h0_.Forward(z.data(), zproj.data());
   for (auto& v : zproj) v = std::tanh(v);
-  nn::LstmState state(config_.hidden_dim);
-  decoder_.StepForward(zproj.data(), &state);
+  // The decoder's whole input sequence is known, so it runs as one
+  // sequence forward (the same inputs TrainStep feeds it).
+  std::vector<const float*> inputs(n);
+  inputs[0] = zproj.data();
   for (size_t i = 1; i < n; ++i) {
-    decoder_.StepForward(
-        edge_embed_.Lookup(static_cast<size_t>(edges[i - 1])), &state);
+    inputs[i] = edge_embed_.Lookup(static_cast<size_t>(edges[i - 1]));
+  }
+  const auto steps = decoder_.Forward(inputs);
+  for (size_t i = 1; i < n; ++i) {
     const auto& succ = net_->NextEdges(edges[i - 1]);
     if (succ.empty()) continue;
     double max_logit = -1e30;
     std::vector<double> logits(succ.size());
     int obs = -1;
     for (size_t s = 0; s < succ.size(); ++s) {
-      logits[s] = nn::Dot(state.h.data(),
+      logits[s] = nn::Dot(steps[i].h.data(),
                           out_embed_.Lookup(static_cast<size_t>(succ[s])),
                           config_.hidden_dim);
       max_logit = std::max(max_logit, logits[s]);

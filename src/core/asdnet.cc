@@ -27,12 +27,12 @@ void AsdNet::BuildState(const float* z, int prev_label, float* state) const {
 
 std::array<float, 2> AsdNet::ActionProbs(const float* z,
                                          int prev_label) const {
-  nn::Vec state(state_dim());
-  BuildState(z, prev_label, state.data());
-  float logits[2];
-  policy_.Forward(state.data(), logits);
-  nn::SoftmaxInPlace(logits, 2);
-  return {logits[0], logits[1]};
+  static thread_local nn::Matrix zm;     // z_dim x 1
+  static thread_local nn::Matrix probs;  // 2 x 1
+  zm.EnsureShape(config_.z_dim, 1);
+  std::copy(z, z + config_.z_dim, zm.data());
+  ActionProbsBatch(zm, {&prev_label, 1}, &probs);
+  return {probs(0, 0), probs(1, 0)};
 }
 
 void AsdNet::ActionProbsBatch(const nn::Matrix& z,

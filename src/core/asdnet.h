@@ -43,14 +43,15 @@ class AsdNet {
   const AsdNetConfig& config() const { return config_; }
   size_t state_dim() const { return config_.z_dim + config_.label_dim; }
 
-  /// π(a | s): action probabilities for state (z, prev_label).
+  /// π(a | s): action probabilities for state (z, prev_label) — the B = 1
+  /// call of ActionProbsBatch.
   std::array<float, 2> ActionProbs(const float* z, int prev_label) const;
 
-  /// Batched policy evaluation: `z` is (z_dim x B) column-per-sample,
-  /// `prev_labels` the matching previous labels; `probs` is resized to
-  /// (2 x B) with column b equal to ActionProbs on sample b (<= 1e-6
-  /// relative; see nn::Gemm's equivalence contract). The policy matmul of
-  /// all B samples runs as one GEMM.
+  /// Policy evaluation over B >= 1 samples: `z` is (z_dim x B)
+  /// column-per-sample, `prev_labels` the matching previous labels; `probs`
+  /// is resized to (2 x B) of softmaxed action probabilities, column b
+  /// independent of B (see nn::Gemm's equivalence contract). The policy
+  /// matmul of all B samples runs as one GEMM.
   void ActionProbsBatch(const nn::Matrix& z, std::span<const int> prev_labels,
                         nn::Matrix* probs) const;
 

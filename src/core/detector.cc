@@ -65,37 +65,9 @@ OnlineDetector::Session::Session(const OnlineDetector* owner, traj::SdPair sd,
       rng_(owner->config_.seed) {}
 
 int OnlineDetector::Session::Feed(traj::EdgeId edge) {
+  Session* self = this;
   int label;
-  if (labels_.empty()) {
-    // The source segment is normal by definition (Algorithm 1, line 2). The
-    // LSTM still consumes it so downstream states see the full history.
-    owner_->rsr_->StepForward(edge, /*nrf_bit=*/0, &stream_, nullptr);
-    label = 0;
-  } else {
-    const uint8_t nrf = owner_->preprocessor_->NormalRouteFeatureAt(
-        sd_, start_time_, prev_edge_, edge);
-    const nn::Vec z =
-        owner_->rsr_->StepForward(edge, nrf, &stream_, nullptr);
-    int det = -1;
-    if (owner_->config_.use_rnel) {
-      det = RnelDeterministicLabel(*owner_->net_, prev_edge_, prev_label_,
-                                   edge);
-    }
-    if (det >= 0) {
-      label = det;
-    } else if (owner_->config_.stochastic) {
-      label = owner_->asd_->SampleAction(z.data(), prev_label_, &rng_);
-    } else {
-      label = owner_->asd_->GreedyAction(z.data(), prev_label_);
-    }
-    // The destination segment is also normal by definition; Finish()
-    // enforces it once the trajectory is known to be complete.
-  }
-  labels_.push_back(static_cast<uint8_t>(label));
-  edges_.push_back(edge);
-  prev_edge_ = edge;
-  prev_label_ = label;
-  if (const auto run = tracker_.Push(label)) RecordClosedRun(*run);
+  owner_->FeedBatch({&self, 1}, {&edge, 1}, &label);
   return label;
 }
 
@@ -347,7 +319,8 @@ OnlineDetector::Session OnlineDetector::ReprimeSession(
   // Deterministic re-prime: replay the fed edges through this detector's
   // RSRNet so the hidden state reflects the new weights over the same
   // history (NRF bits recomputed against this detector's preprocessor; the
-  // first segment is normal by definition and carries NRF 0, as in Feed).
+  // first segment is normal by definition and carries NRF 0, as in
+  // FeedBatch).
   traj::EdgeId prev = roadnet::kInvalidEdge;
   for (size_t i = 0; i < s.edges_.size(); ++i) {
     const uint8_t nrf =
@@ -366,18 +339,16 @@ void OnlineDetector::FeedBatch(std::span<Session* const> sessions,
   const size_t B = sessions.size();
   RL4_CHECK_EQ(edges.size(), B);
   if (B == 0) return;
-  if (B == 1) {  // GEMMs degenerate to the matvec path; skip the plumbing
-    const int label = sessions[0]->Feed(edges[0]);
-    if (labels != nullptr) labels[0] = label;
-    return;
-  }
 
-  // Phase 1 (scalar, cheap): per-session NRF bits and deterministic labels.
-  // A session's first segment is normal by definition and skips the policy;
-  // RNEL decides some of the rest without the policy. The RSRNet step still
-  // runs for every session so downstream states see the full history.
-  // All scratch is thread-local and fully rewritten per call, so
-  // steady-state waves allocate nothing.
+  // Phase 1 (per session, cheap): NRF bits and deterministic labels. A
+  // session's first segment is normal by definition (Algorithm 1, line 2)
+  // and skips the policy (so is the destination, which Finish() enforces
+  // once the trip is known to be complete); RNEL decides some of the rest
+  // without the policy. The RSRNet step still runs for every session so
+  // downstream states see the full history. The edge id is checked first:
+  // RNEL indexes the road network with it unchecked. All scratch is
+  // thread-local and fully rewritten per call, so steady-state waves
+  // allocate nothing.
   static thread_local std::vector<uint8_t> nrf;
   static thread_local std::vector<int> det;
   static thread_local std::vector<RsrStream*> streams;
@@ -387,6 +358,10 @@ void OnlineDetector::FeedBatch(std::span<Session* const> sessions,
   for (size_t b = 0; b < B; ++b) {
     Session* s = sessions[b];
     RL4_CHECK(s->owner_ == this);
+    RL4_CHECK(edges[b] >= 0 &&
+              static_cast<size_t>(edges[b]) < net_->NumEdges())
+        << "edge " << edges[b] << " outside the road network ("
+        << net_->NumEdges() << " edges)";
     streams[b] = &s->stream_;
     if (s->labels_.empty()) continue;  // first point: nrf 0, label 0
     nrf[b] = preprocessor_->NormalRouteFeatureAt(s->sd_, s->start_time_,
@@ -417,27 +392,29 @@ void OnlineDetector::FeedBatch(std::span<Session* const> sessions,
   }
   if (!need.empty()) {
     const size_t M = need.size();
-    const size_t zd = z.rows();
     static thread_local nn::Matrix zsub;
     static thread_local std::vector<int> prev;
     static thread_local nn::Matrix probs;
-    zsub.EnsureShape(zd, M);
     prev.resize(M);
-    for (size_t m = 0; m < M; ++m) {
-      const size_t b = need[m];
-      const float* src = z.data() + b;
-      float* dst = zsub.data() + m;
-      for (size_t r = 0; r < zd; ++r) dst[r * M] = src[r * B];
-      prev[m] = sessions[b]->prev_label_;
+    for (size_t m = 0; m < M; ++m) prev[m] = sessions[need[m]]->prev_label_;
+    // When every session needs the policy, z is already its input.
+    if (M < B) {
+      const size_t zd = z.rows();
+      zsub.EnsureShape(zd, M);
+      for (size_t m = 0; m < M; ++m) {
+        const float* src = z.data() + need[m];
+        float* dst = zsub.data() + m;
+        for (size_t r = 0; r < zd; ++r) dst[r * M] = src[r * B];
+      }
     }
-    asd_->ActionProbsBatch(zsub, prev, &probs);
+    asd_->ActionProbsBatch(M < B ? zsub : z, prev, &probs);
     for (size_t m = 0; m < M; ++m) {
       const size_t b = need[m];
       const float p0 = probs(0, m);
       const float p1 = probs(1, m);
       if (config_.stochastic) {
-        // Same per-session draw as SampleAction, so batched and streaming
-        // stochastic runs consume each session's RNG identically.
+        // Same per-session draw as SampleAction: one Uniform per policy
+        // decision, so each session's RNG stream is independent of B.
         decided[b] = sessions[b]->rng_.Uniform() < p0 ? 0 : 1;
       } else {
         decided[b] = p1 > p0 ? 1 : 0;
@@ -445,7 +422,7 @@ void OnlineDetector::FeedBatch(std::span<Session* const> sessions,
     }
   }
 
-  // Phase 4 (scalar): per-session bookkeeping, identical to Feed's tail.
+  // Phase 4 (per session): label history, DL run tracking, closed runs.
   for (size_t b = 0; b < B; ++b) {
     Session* s = sessions[b];
     const int label = decided[b];

@@ -148,7 +148,8 @@ class OnlineDetector {
    public:
     Session(const OnlineDetector* owner, traj::SdPair sd, double start_time);
 
-    /// Consumes the next road segment, returning its (pre-DL) label.
+    /// Consumes the next road segment, returning its (pre-DL) label: the
+    /// owner's FeedBatch with this one session.
     int Feed(traj::EdgeId edge);
 
     /// Marks the trajectory complete: forces the last label to 0 and applies
@@ -235,14 +236,16 @@ class OnlineDetector {
   /// Convenience: runs a full trajectory through a session.
   std::vector<uint8_t> Detect(const traj::MapMatchedTrajectory& t) const;
 
-  /// Batched step: advances sessions[b] by edges[b], for B *distinct*
-  /// sessions of this detector, producing exactly the labels, run
-  /// bookkeeping, and (in stochastic mode) per-session RNG draws that
-  /// sessions[b]->Feed(edges[b]) would — but with the RSRNet recurrent step
-  /// of all B sessions fused into GEMMs, and the ASDNet policy batched over
-  /// the sessions RNEL leaves undecided. `labels` (optional) receives the B
-  /// per-point labels. This is the model-step amortization layer under
-  /// serve::FleetMonitor's micro-batching.
+  /// The per-point step (paper Algorithm 1) for B >= 1 *distinct* sessions
+  /// of this detector: advances sessions[b] by edges[b] — NRF lookup, RSRNet
+  /// step, RNEL, ASDNet policy, Delayed-Labeling run tracking — with the
+  /// RSRNet recurrent step of all B sessions fused into GEMMs and the
+  /// policy batched over the sessions RNEL leaves undecided. A session's
+  /// labels, runs and (in stochastic mode) RNG draws do not depend on B or
+  /// on which sessions share the call. `labels` (optional) receives the B
+  /// per-point labels. Session::Feed is the B = 1 call; wider calls are the
+  /// model-step amortization under serve::FleetMonitor's micro-batching.
+  /// Aborts on an edge id outside the road network.
   void FeedBatch(std::span<Session* const> sessions,
                  std::span<const traj::EdgeId> edges,
                  int* labels = nullptr) const;

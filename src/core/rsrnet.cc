@@ -201,22 +201,12 @@ double RsrNet::ComputeGradients(const std::vector<traj::EdgeId>& edges,
 nn::Vec RsrNet::StepForward(traj::EdgeId edge, uint8_t nrf_bit,
                             RsrStream* stream,
                             std::array<float, 2>* probs) const {
-  const size_t H = config_.hidden_dim;
-  const size_t N = config_.nrf_dim;
-  if (stream->state.h.size() != H) stream->state = nn::LstmState(H);
-  lstm_.StepForward(tcf_embed_.Lookup(static_cast<size_t>(edge)),
-                    &stream->state);
-  nn::Vec z(H + N);
-  std::copy(stream->state.h.begin(), stream->state.h.end(), z.begin());
-  const float* nv = nrf_embed_.Lookup(nrf_bit ? 1 : 0);
-  std::copy(nv, nv + N, z.begin() + H);
-  if (probs != nullptr) {
-    float logits[2];
-    head_.Forward(z.data(), logits);
-    nn::SoftmaxInPlace(logits, 2);
-    (*probs) = {logits[0], logits[1]};
-  }
-  return z;
+  static thread_local nn::Matrix z;  // z_dim x 1
+  static thread_local nn::Matrix p;  // 2 x 1
+  StepForwardBatch({&edge, 1}, {&nrf_bit, 1}, {&stream, 1}, &z,
+                   probs != nullptr ? &p : nullptr);
+  if (probs != nullptr) *probs = {p(0, 0), p(1, 0)};
+  return nn::Vec(z.data(), z.data() + z.size());
 }
 
 void RsrNet::StepForwardBatch(std::span<const traj::EdgeId> edges,
@@ -230,9 +220,8 @@ void RsrNet::StepForwardBatch(std::span<const traj::EdgeId> edges,
   const size_t N = config_.nrf_dim;
 
   // Gather: embedding columns and per-stream LSTM states (fresh
-  // streams are sized here, like the scalar path). Scratch buffers are
-  // thread-local and fully overwritten, so steady-state waves allocate
-  // nothing.
+  // streams are sized here). Scratch buffers are thread-local and fully
+  // overwritten, so steady-state waves allocate nothing.
   static thread_local std::vector<size_t> ids;
   static thread_local std::vector<nn::LstmState*> states;
   static thread_local nn::Matrix x;  // embed_dim x B

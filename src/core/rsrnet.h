@@ -143,19 +143,20 @@ class RsrNet {
   /// bit-identical to TrainStep.
   void ApplyWorkerGradients(nn::GradientSink* sink);
 
-  /// Streaming step: consumes one segment and its NRF bit, returns z_i and
-  /// fills `probs`. O(hidden * (hidden + embed)) per call.
+  /// Streaming step for one trip: StepForwardBatch at B = 1. Consumes one
+  /// segment and its NRF bit, returns z_i and fills `probs` (optional).
   nn::Vec StepForward(traj::EdgeId edge, uint8_t nrf_bit, RsrStream* stream,
                       std::array<float, 2>* probs) const;
 
-  /// Batched streaming step over B independent trip streams: advances
-  /// streams[b] by edges[b]/nrf_bits[b] exactly as StepForward would
-  /// (<= 1e-6 relative; see nn::Gemm's equivalence contract), but with the
-  /// LSTM gate matmuls of all B streams fused into GEMMs. `z` is
-  /// resized to (z_dim x B), column b = z_b; `probs` (optional) is resized
-  /// to (2 x B) of softmaxed class probabilities. Streams may differ per
-  /// call — the caller gathers whichever trips have a point to process, so
-  /// ragged final batches are just smaller B.
+  /// Streaming step over B >= 1 independent trip streams: advances
+  /// streams[b] by edges[b]/nrf_bits[b], with the LSTM gate matmuls of all
+  /// B streams fused into GEMMs. Column b is what Forward computes at the
+  /// last position of stream b's history, whatever B is (see nn::Gemm's
+  /// equivalence contract). `z` is resized to (z_dim x B), column b = z_b;
+  /// `probs` (optional) is resized to (2 x B) of softmaxed class
+  /// probabilities. Streams may differ per call — the caller gathers
+  /// whichever trips have a point to process, so ragged final batches are
+  /// just smaller B.
   void StepForwardBatch(std::span<const traj::EdgeId> edges,
                         std::span<const uint8_t> nrf_bits,
                         std::span<RsrStream* const> streams, nn::Matrix* z,

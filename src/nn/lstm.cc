@@ -57,44 +57,6 @@ Lstm::Lstm(std::string name, size_t input_dim, size_t hidden_dim,
   }
 }
 
-void Lstm::ComputeGates(const float* x, const float* h_prev,
-                        float* gates) const {
-  MatVec(wx_.value, x, gates);
-  FinishGates(h_prev, gates);
-}
-
-void Lstm::FinishGates(const float* h_prev, float* gates) const {
-  const size_t h4 = 4 * hidden_dim_;
-  // gates = (Wx x + b) + Wh h_prev, with the recurrent dot product summed
-  // on its own before the single add — the same association the batched
-  // GEMM path uses (fresh product chain, added to C once), so the two
-  // paths agree bit-for-bit.
-  for (size_t r = 0; r < h4; ++r) {
-    gates[r] = gates[r] + b_.value(0, r) +
-               Dot(wh_.value.Row(r), h_prev, hidden_dim_);
-  }
-  // Activations: [i, f] sigmoid, [g] tanh, [o] sigmoid.
-  const size_t H = hidden_dim_;
-  for (size_t i = 0; i < H; ++i) gates[i] = Sigmoid(gates[i]);
-  for (size_t i = H; i < 2 * H; ++i) gates[i] = Sigmoid(gates[i]);
-  for (size_t i = 2 * H; i < 3 * H; ++i) gates[i] = Tanh(gates[i]);
-  for (size_t i = 3 * H; i < 4 * H; ++i) gates[i] = Sigmoid(gates[i]);
-}
-
-void Lstm::StepForward(const float* x, LstmState* state) const {
-  const size_t H = hidden_dim_;
-  Vec gates(4 * H);
-  ComputeGates(x, state->h.data(), gates.data());
-  const float* ig = gates.data();
-  const float* fg = gates.data() + H;
-  const float* gg = gates.data() + 2 * H;
-  const float* og = gates.data() + 3 * H;
-  for (size_t i = 0; i < H; ++i) {
-    state->c[i] = fg[i] * state->c[i] + ig[i] * gg[i];
-    state->h[i] = og[i] * Tanh(state->c[i]);
-  }
-}
-
 void Lstm::StepForwardBatch(const Matrix& x, LstmBatchState* state) const {
   const size_t H = hidden_dim_;
   const size_t B = x.cols();
@@ -103,10 +65,10 @@ void Lstm::StepForwardBatch(const Matrix& x, LstmBatchState* state) const {
   RL4_CHECK_EQ(state->h.cols(), B);
   RL4_CHECK_EQ(state->c.rows(), H);
   RL4_CHECK_EQ(state->c.cols(), B);
-  // Same accumulation order as the scalar ComputeGates: Wx x, then + b,
-  // then + Wh h_prev, then the activations. Thread-local scratch: fully
-  // overwritten every call (MatMul resizes), so steady-state waves do no
-  // allocation.
+  // Same accumulation order as Forward's steps: Wx x, then + b, then
+  // + Wh h_prev (its own product chain, added once), then the activations.
+  // Thread-local scratch: fully overwritten every call (MatMul resizes), so
+  // steady-state waves do no allocation.
   static thread_local Matrix gates;  // 4H x B
   MatMul(wx_.value, x, &gates);
   AddBiasPerRow(&gates, b_.value.Row(0));
@@ -137,8 +99,8 @@ std::vector<LstmStepCache> Lstm::Forward(
   if (T == 0) return caches;
   // Input projection for all timesteps in one GEMM: pack the inputs
   // feature-major (I x T) and compute Wx * X as (4H x T). Each element is
-  // the same ascending-k dot chain MatVec runs per step, so the gates are
-  // bit-identical to stepping ComputeGates.
+  // the same ascending-k dot chain a one-column step runs, so the gates are
+  // bit-identical to stepping StepForwardBatch.
   static thread_local Matrix xf;  // I x T
   static thread_local Matrix wxx;  // 4H x T
   xf.EnsureShape(input_dim_, T);
@@ -154,9 +116,19 @@ std::vector<LstmStepCache> Lstm::Forward(
     LstmStepCache& cache = caches[t];
     cache.x.assign(inputs[t], inputs[t] + input_dim_);
     cache.gates.resize(4 * H);
+    // gates = (Wx x + b) + Wh h_prev, with the recurrent dot product
+    // summed on its own before the single add — the association
+    // StepForwardBatch's GEMMs use (fresh product chain, added to C once).
+    float* g = cache.gates.data();
     const float* wcol = wxx.data() + t;
-    for (size_t r = 0; r < 4 * H; ++r) cache.gates[r] = wcol[r * T];
-    FinishGates(h_prev.data(), cache.gates.data());
+    for (size_t r = 0; r < 4 * H; ++r) {
+      g[r] = wcol[r * T] + b_.value(0, r) +
+             Dot(wh_.value.Row(r), h_prev.data(), H);
+    }
+    // Activations: [i, f] sigmoid, [g] tanh, [o] sigmoid.
+    for (size_t i = 0; i < 2 * H; ++i) g[i] = Sigmoid(g[i]);
+    for (size_t i = 2 * H; i < 3 * H; ++i) g[i] = Tanh(g[i]);
+    for (size_t i = 3 * H; i < 4 * H; ++i) g[i] = Sigmoid(g[i]);
     cache.c_prev = c_prev;
     cache.c.resize(H);
     cache.tanh_c.resize(H);

@@ -1,9 +1,10 @@
 // LSTM (Hochreiter & Schmidhuber) with full backpropagation through time.
 // Two usage modes:
 //   * Sequence mode (training): Lstm::Forward stores per-step caches so
-//     Lstm::Backward can run BPTT over the whole trajectory.
-//   * Streaming mode (online detection): LstmState carries (h, c) across
-//     incoming road segments; StepForward advances one segment in O(H^2).
+//     Lstm::BackwardSeq can run BPTT over the whole trajectory.
+//   * Streaming mode (online detection): each trip's LstmState carries
+//     (h, c) across incoming road segments; StepForwardBatch advances B >= 1
+//     trips by one segment each, gathered into an LstmBatchState.
 #pragma once
 
 #include <span>
@@ -63,22 +64,19 @@ class Lstm {
   size_t input_dim() const { return input_dim_; }
   size_t hidden_dim() const { return hidden_dim_; }
 
-  /// Streaming step: consumes x (length input_dim), updates `state` in place.
-  /// No caches are kept; use for inference only.
-  void StepForward(const float* x, LstmState* state) const;
-
-  /// Batched streaming step over B independent streams: x is (input_dim x B)
+  /// Streaming step over B >= 1 independent streams: x is (input_dim x B)
   /// with sample b in column b, and `state` carries (H x B) hidden/cell
   /// matrices updated in place. The four gate matmuls of all B streams run
   /// as one (4H x I) * (I x B) GEMM (plus the recurrent (4H x H) * (H x B)),
-  /// and column b's result matches StepForward on sample b's state (<= 1e-6
-  /// relative; see Gemm's equivalence contract). Inference only.
+  /// and column b's result is the step Forward takes from sample b's state
+  /// whatever B is (see Gemm's equivalence contract). Inference only: no
+  /// caches are kept.
   void StepForwardBatch(const Matrix& x, LstmBatchState* state) const;
 
   /// Sequence forward from the zero state. Returns per-step caches (the
   /// hidden output of step t is caches[t].h). The input projection of all
   /// timesteps runs as one (4H x I) * (I x T) GEMM; the recurrent part is
-  /// inherently sequential. Bit-identical to stepping ComputeGates.
+  /// inherently sequential. Bit-identical to stepping StepForwardBatch.
   std::vector<LstmStepCache> Forward(
       const std::vector<const float*>& inputs) const;
 
@@ -110,14 +108,6 @@ class Lstm {
   }
 
  private:
-  /// Computes post-activation gates for one step into `gates` (length 4H).
-  void ComputeGates(const float* x, const float* h_prev, float* gates) const;
-
-  /// The recurrent tail of ComputeGates: `gates` already holds Wx x and
-  /// gets + b + Wh h_prev and the activations (shared by the streaming
-  /// step and the GEMM-projected sequence forward).
-  void FinishGates(const float* h_prev, float* gates) const;
-
   size_t input_dim_;
   size_t hidden_dim_;
   Parameter wx_;  // 4H x input_dim

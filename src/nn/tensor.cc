@@ -121,6 +121,20 @@ __attribute__((target("avx2"))) void GemmAvx2(const float* a, size_t m,
 
 void Gemm(const float* a, size_t m, size_t k, size_t lda, const float* b,
           size_t n, size_t ldb, float* c, size_t ldc, bool accumulate) {
+  if (n == 1) {
+    // One column (the width-1 streaming step): MatVec's per-row chain in a
+    // scalar register instead of the tail tile's variable-width array, at
+    // the baseline ISA like MatVec (a lone chain has nothing to vectorize,
+    // and ran slower in the AVX2 clone).
+    for (size_t i = 0; i < m; ++i) {
+      const float* ai = a + i * lda;
+      float acc = 0.0f;
+      for (size_t kx = 0; kx < k; ++kx) acc += ai[kx] * b[kx * ldb];
+      float& ci = c[i * ldc];
+      ci = accumulate ? ci + acc : acc;
+    }
+    return;
+  }
 #ifdef RL4_GEMM_AVX2
   static const bool use_avx2 = __builtin_cpu_supports("avx2") != 0;
   if (use_avx2) {

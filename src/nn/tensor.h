@@ -1,8 +1,9 @@
 // Dense row-major float matrix plus the vector and matrix kernels the
 // networks need: matrix-vector products and elementwise ops for the
-// streaming (single-sample) paths, and a blocked GEMM for the batched
-// inference path, where B stacked samples are laid out column-wise so the
-// recurrent gate matmuls become one (4H x I) * (I x B) product.
+// training-side single-sample paths, and a blocked GEMM for the streaming
+// inference step, where B stacked samples (B >= 1) are laid out
+// column-wise so the recurrent gate matmuls become one (4H x I) * (I x B)
+// product.
 #pragma once
 
 #include <algorithm>
@@ -79,12 +80,13 @@ void MatVec(const Matrix& m, const float* x, float* y);
 ///
 /// Equivalence contract: for every output element the products are added in
 /// ascending-k order as ONE unbroken chain, exactly like the scalar MatVec
-/// dot loop, so the batched inference path reproduces the streaming path's
-/// floating-point results (tests enforce <= 1e-6 relative; on one toolchain
-/// the results are typically bit-identical). The kernel tiles the
-/// contiguous `n` (batch) dimension into register accumulators and
-/// auto-vectorizes over it; k deliberately runs unblocked — splitting k
-/// into partial sums would reassociate the chains and break the contract.
+/// dot loop, so a column's result does not depend on how many columns ride
+/// along, and n == 1 is bit-identical to MatVec (tests enforce <= 1e-6
+/// relative across widths; on one toolchain the results are bit-identical).
+/// The kernel tiles the contiguous `n` (batch) dimension into register
+/// accumulators and auto-vectorizes over it; n == 1 runs MatVec's per-row
+/// loop. k deliberately runs unblocked — splitting k into partial sums
+/// would reassociate the chains and break the contract.
 void Gemm(const float* a, size_t m, size_t k, size_t lda, const float* b,
           size_t n, size_t ldb, float* c, size_t ldc, bool accumulate);
 
@@ -127,12 +129,12 @@ float CrossEntropy(const float* probs, size_t n, size_t target);
 
 /// Fast exp(x) for the network activations: branchless (no libm call, no
 /// data-dependent branch), so activation loops over gate blocks
-/// auto-vectorize in both the streaming and the batched path. ~2e-7
+/// auto-vectorize in both the streaming step and the sequence forward. ~2e-7
 /// relative accuracy via Cody-Waite argument reduction, a degree-6
 /// exp polynomial, and exponent assembly in the float bit pattern; NaN
-/// propagates like std::exp. The streaming and batched paths share this
-/// exact function, so activations never contribute a batch-vs-streaming
-/// difference.
+/// propagates like std::exp. The streaming step and the sequence forward
+/// share this exact function, so activations never contribute a
+/// step-vs-sequence difference.
 inline float FastExp(float x) {
   // NaN fails both clamp comparisons and would reach the float->int cast
   // below (UB); route it through as 0 and select the original back at the

@@ -540,8 +540,8 @@ size_t FleetMonitor::FeedBatch(std::span<const FleetPoint> points)
         if (trip->handle != handle) {
           // A racing SwapModel moved this trip past our handle between the
           // fetch above and taking its lock: its session belongs to a newer
-          // detector, so it cannot fuse into this wave. Feed it scalar on
-          // its own (newer) model instead — same bookkeeping, no fusion.
+          // detector, so it cannot fuse into this wave. Feed it alone on
+          // its own (newer) model instead — a width-1 step, no fusion.
           (void)trip->session.Feed(p.edge);
           EmitNewRuns(p.vehicle_id, trip, g.shard, ts);
           ++shard_fed[ShardIndexOf(p.vehicle_id)];

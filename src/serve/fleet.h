@@ -261,7 +261,7 @@ struct FleetConfig {
   size_t num_shards = 16;
   /// Maximum number of trips whose model steps FeedBatch fuses into one
   /// batched forward (the micro-batch width). 1 disables fusion (every
-  /// point takes the scalar streaming path). Larger widths amortize the
+  /// point is its own width-1 step, as in Feed). Larger widths amortize the
   /// RSRNet/ASDNet matmuls across trips but hold that many trip locks for
   /// the duration of one fused step.
   size_t micro_batch = 128;

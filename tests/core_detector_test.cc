@@ -1,8 +1,11 @@
 // Detector mechanics: RNEL rules, Delayed Labeling, Algorithm 1 boundary
-// conditions, and streaming-session equivalence.
+// conditions, streaming-session equivalence, the width invariance of the
+// per-point step, and the out-of-range edge check.
 #include "core/detector.h"
 
+#include <algorithm>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,6 +18,8 @@ namespace rl4oasd::core {
 namespace {
 
 using ::rl4oasd::testing::MakeFigure1Example;
+using ::rl4oasd::testing::SmallDataset;
+using ::rl4oasd::testing::SmallGrid;
 
 TEST(DelayedLabelingTest, MergesShortGaps) {
   // Gap of 2 zeros between 1s; D = 8 merges it.
@@ -300,6 +305,166 @@ TEST_F(DetectorSessionTest, IncrementalRunsCoverFinalRunsExactlyOnce) {
     }
     // A second drain must be empty (each run surfaces exactly once).
     EXPECT_TRUE(session.TakeNewlyClosedRuns().empty());
+  }
+}
+
+// Session::Feed is FeedBatch at B = 1, and FeedBatch checks every edge id
+// before anything indexes the road network with it — on the first point
+// and on later ones, alone or in a wider wave.
+using DetectorSessionDeathTest = DetectorSessionTest;
+
+TEST_F(DetectorSessionDeathTest, OutOfRangeEdgeAborts) {
+  const auto num_edges = static_cast<traj::EdgeId>(ex_.net.NumEdges());
+  const std::string message = "edge " + std::to_string(num_edges) +
+                              " outside the road network \\(" +
+                              std::to_string(num_edges) + " edges\\)";
+  const traj::SdPair sd{ex_.t3.front(), ex_.t3.back()};
+  auto fresh = model_->StartSession(sd, 9 * 3600.0);
+  EXPECT_DEATH(fresh.Feed(num_edges), message);
+  auto session = model_->StartSession(sd, 9 * 3600.0);
+  session.Feed(ex_.t3[0]);
+  EXPECT_DEATH(session.Feed(num_edges), message);
+  EXPECT_DEATH(session.Feed(-1), "edge -1 outside the road network");
+
+  auto other = model_->StartSession(sd, 9 * 3600.0);
+  other.Feed(ex_.t3[0]);
+  OnlineDetector::Session* wave[] = {&session, &other};
+  const traj::EdgeId edges[] = {ex_.t3[1], num_edges};
+  EXPECT_DEATH(model_->detector().FeedBatch(wave, edges), message);
+}
+
+// What one trip's stream looked like from the outside.
+struct TripRecord {
+  std::vector<int> labels;  // per-point labels as Feed/FeedBatch returned them
+  std::vector<std::pair<size_t, traj::Subtrajectory>> runs;  // (point, run)
+  std::vector<uint8_t> final_labels;                         // Finish()
+  double next_draw = 0.0;  // the session RNG's next Uniform() after Finish
+  bool operator==(const TripRecord&) const = default;
+};
+
+// The next Uniform() of a session's RNG, read from the tail of its exported
+// state (four xoshiro words, the spare flag, the spare value).
+double NextDraw(const OnlineDetector::Session& session) {
+  BinaryWriter w;
+  session.ExportState(&w);
+  constexpr size_t kRngBytes = 4 * 8 + 1 + 8;
+  BinaryReader r(w.buffer().substr(w.buffer().size() - kRngBytes));
+  Rng::State state;
+  for (uint64_t& word : state.s) EXPECT_TRUE(r.ReadU64(&word).ok());
+  uint8_t has_spare = 0;
+  EXPECT_TRUE(r.ReadU8(&has_spare).ok());
+  state.has_spare_gaussian = has_spare != 0;
+  EXPECT_TRUE(r.ReadF64(&state.spare_gaussian).ok());
+  Rng rng;
+  rng.ImportState(state);
+  return rng.Uniform();
+}
+
+// Streams `trips` through `det` with a rolling window of `width` live
+// trips: each wave feeds the next point of every live trip, and a finished
+// trip's slot goes to the next one, so the last waves are ragged. Width 1
+// uses Session::Feed, every other width FeedBatch.
+std::vector<TripRecord> StreamAtWidth(
+    const OnlineDetector& det,
+    const std::vector<traj::MapMatchedTrajectory>& trips, size_t width) {
+  std::vector<TripRecord> records(trips.size());
+  std::vector<OnlineDetector::Session> sessions;
+  sessions.reserve(trips.size());
+  for (const auto& t : trips) {
+    sessions.push_back(det.StartSession(t.sd(), t.start_time));
+  }
+  std::vector<size_t> next_point(trips.size(), 0);
+  std::vector<size_t> live;
+  size_t next_trip = 0;
+  while (true) {
+    while (live.size() < width && next_trip < trips.size()) {
+      live.push_back(next_trip++);
+    }
+    if (live.empty()) break;
+    std::vector<OnlineDetector::Session*> wave;
+    std::vector<traj::EdgeId> edges;
+    for (size_t i : live) {
+      wave.push_back(&sessions[i]);
+      edges.push_back(trips[i].edges[next_point[i]]);
+    }
+    std::vector<int> labels(live.size());
+    if (width == 1) {
+      labels[0] = wave[0]->Feed(edges[0]);
+    } else {
+      det.FeedBatch(wave, edges, labels.data());
+    }
+    std::vector<size_t> still_live;
+    for (size_t w = 0; w < live.size(); ++w) {
+      const size_t i = live[w];
+      TripRecord& rec = records[i];
+      rec.labels.push_back(labels[w]);
+      const size_t point = next_point[i]++;
+      for (const auto& run : sessions[i].TakeNewlyClosedRuns()) {
+        rec.runs.emplace_back(point, run);
+      }
+      if (next_point[i] < trips[i].edges.size()) {
+        still_live.push_back(i);
+        continue;
+      }
+      rec.final_labels = sessions[i].Finish();
+      for (const auto& run : sessions[i].TakeNewlyClosedRuns()) {
+        rec.runs.emplace_back(point + 1, run);
+      }
+      rec.next_draw = NextDraw(sessions[i]);
+    }
+    live.swap(still_live);
+  }
+  return records;
+}
+
+TEST(DetectorWidthInvarianceTest, EveryWidthMatchesWidthOne) {
+  const roadnet::RoadNetwork net = SmallGrid();
+  const traj::Dataset data = SmallDataset(net, /*pairs=*/4,
+                                          /*anomaly_ratio=*/0.3);
+  Rl4OasdConfig cfg;
+  cfg.rsr.embed_dim = 8;
+  cfg.rsr.nrf_dim = 8;
+  cfg.rsr.hidden_dim = 8;
+  cfg.asd.label_dim = 8;
+  cfg.use_pretrained_embeddings = false;
+  cfg.pretrain_samples = 30;
+  cfg.pretrain_epochs = 1;
+  cfg.joint_samples = 30;
+  cfg.epochs_per_traj = 1;
+  Rl4Oasd model(&net, cfg);
+  model.Fit(data);
+
+  // 41 trips of mixed lengths: widths 7, 8 and 33 all end on a ragged wave.
+  std::vector<traj::MapMatchedTrajectory> trips;
+  for (size_t i = 0; i < data.size() && trips.size() < 41; i += 3) {
+    trips.push_back(data[i].traj);
+  }
+  ASSERT_EQ(trips.size(), 41u);
+
+  for (const bool stochastic : {false, true}) {
+    for (const bool use_rnel : {true, false}) {
+      DetectorConfig dc = model.config().detector;
+      dc.stochastic = stochastic;
+      dc.use_rnel = use_rnel;
+      const OnlineDetector det(&net, &model.preprocessor(), &model.rsrnet(),
+                               &model.asdnet(), dc);
+      const auto reference = StreamAtWidth(det, trips, 1);
+      size_t anomalous_points = 0;
+      for (const auto& rec : reference) {
+        anomalous_points += static_cast<size_t>(
+            std::count(rec.labels.begin(), rec.labels.end(), 1));
+      }
+      // Not vacuous: the policy labels some points anomalous.
+      EXPECT_GT(anomalous_points, 0u);
+      for (const size_t width : {2, 7, 8, 33}) {
+        const auto got = StreamAtWidth(det, trips, width);
+        for (size_t i = 0; i < trips.size(); ++i) {
+          EXPECT_TRUE(got[i] == reference[i])
+              << "trip " << i << " width " << width << " stochastic "
+              << stochastic << " rnel " << use_rnel;
+        }
+      }
+    }
   }
 }
 

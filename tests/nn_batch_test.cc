@@ -1,12 +1,14 @@
-// Batch-vs-streaming equivalence property tests for the batched inference
-// path: the GEMM kernel, the batched LSTM step, batched Linear forward,
-// batched embedding gather, and RSRNet's batched streaming step — each
-// compared element-wise against the scalar path it fuses.
+// Equivalence property tests for the streaming inference step, which runs
+// at every width B >= 1 through the GEMM-backed kernels: the GEMM against a
+// naive triple loop and (at n == 1) against MatVec, the batched LSTM step
+// against the sequence forward, batched Linear forward and embedding gather
+// against their single-sample forms, and RSRNet's batched step against both
+// its width-1 call and RsrNet::Forward over each stream's history.
 //
-// Equivalence contract (see nn::Gemm): the batched kernels add each output
+// Equivalence contract (see nn::Gemm): every kernel adds each output
 // element's products in the same ascending-k order as the scalar dot loops,
-// so results agree to <= 1e-6 relative tolerance (typically bit-identical
-// on one toolchain; the tolerance absorbs FMA-contraction differences).
+// so results agree to <= 1e-6 relative tolerance (bit-identical on one
+// toolchain; GemmTest.SingleColumnMatchesMatVec asserts exactly that).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -83,20 +85,36 @@ TEST(GemmTest, MatchesNaiveTripleLoop) {
 }
 
 TEST(GemmTest, SingleColumnMatchesMatVec) {
-  // With n == 1 the GEMM degenerates to the scalar matvec — and must agree
-  // with it, since that is exactly the B=1 batched-inference case.
+  // With n == 1 the GEMM runs MatVec's per-row ascending-k chain — the
+  // width-1 streaming step — so the two agree bit for bit, in both modes.
   Rng rng(77);
   const Matrix a = RandomMatrix(33, 129, &rng);
   const Vec x = RandomVec(129, &rng);
   Matrix xm(129, 1);
   for (size_t i = 0; i < x.size(); ++i) xm(i, 0) = x[i];
-  Matrix c;
-  MatMul(a, xm, &c);
   Vec y(33);
   MatVec(a, x.data(), y.data());
+  Matrix c;
+  MatMul(a, xm, &c);
   for (size_t i = 0; i < y.size(); ++i) {
-    ExpectClose(c(i, 0), y[i], "row " + std::to_string(i));
+    EXPECT_EQ(c(i, 0), y[i]) << "row " << i;
   }
+  // Accumulate mode adds the finished chain onto C in one step.
+  const Vec c0 = RandomVec(33, &rng);
+  for (size_t i = 0; i < c0.size(); ++i) c(i, 0) = c0[i];
+  MatMulAccum(a, xm, &c);
+  for (size_t i = 0; i < y.size(); ++i) {
+    EXPECT_EQ(c(i, 0), c0[i] + y[i]) << "accumulated row " << i;
+  }
+  // A strided column (ldb > 1) takes the same chain.
+  const Matrix wide = RandomMatrix(129, 5, &rng);
+  Vec col(129);
+  for (size_t i = 0; i < col.size(); ++i) col[i] = wide(i, 3);
+  MatVec(a, col.data(), y.data());
+  Vec strided(33);
+  Gemm(a.data(), 33, 129, 129, wide.data() + 3, 1, 5, strided.data(), 1,
+       /*accumulate=*/false);
+  EXPECT_EQ(strided, y);
 }
 
 TEST(TensorBatchTest, SoftmaxColumnsMatchesPerColumnSoftmax) {
@@ -155,37 +173,42 @@ TEST(LinearBatchTest, ForwardBatchMatchesForward) {
   }
 }
 
-// Drives 4 batched steps and B independent scalar streams over the same
-// random inputs (starting from the same random nonzero carried states) and
-// compares the full state after every step.
+// Drives kSteps batched steps from the zero state (so every step after the
+// first carries a nonzero state) and checks every column after every step
+// against an independent reference: Lstm::Forward over that column's input
+// sequence.
 TEST(LstmBatchTest, StepForwardBatchMatchesStreaming) {
   Rng rng(21);
+  constexpr size_t kSteps = 5;
   for (int trial = 0; trial < 8; ++trial) {
     const size_t input_dim = 1 + rng.UniformInt(40);
     const size_t hidden = 1 + rng.UniformInt(40);
-    const size_t batch = 1 + rng.UniformInt(33);  // includes B=1
+    const size_t batch = trial == 0 ? 1 : 1 + rng.UniformInt(33);
     Lstm cell("t.cell", input_dim, hidden, &rng);
-    // Random nonzero carried states (a mid-trip batch never starts at 0).
-    std::vector<LstmState> scalar(batch, LstmState(hidden));
-    LstmBatchState batched(hidden, batch);
-    for (size_t b = 0; b < batch; ++b) {
-      scalar[b].h = RandomVec(hidden, &rng);
-      for (size_t r = 0; r < hidden; ++r) batched.h(r, b) = scalar[b].h[r];
-      scalar[b].c = RandomVec(hidden, &rng);
-      for (size_t r = 0; r < hidden; ++r) batched.c(r, b) = scalar[b].c[r];
+    std::vector<Matrix> xs;
+    for (size_t step = 0; step < kSteps; ++step) {
+      xs.push_back(RandomMatrix(input_dim, batch, &rng));
     }
-    for (int step = 0; step < 4; ++step) {
-      const Matrix x = RandomMatrix(input_dim, batch, &rng);
-      cell.StepForwardBatch(x, &batched);
-      Vec xcol(input_dim);
+    std::vector<std::vector<LstmStepCache>> reference(batch);
+    for (size_t b = 0; b < batch; ++b) {
+      std::vector<Vec> seq(kSteps, Vec(input_dim));
+      std::vector<const float*> inputs;
+      for (size_t step = 0; step < kSteps; ++step) {
+        for (size_t r = 0; r < input_dim; ++r) seq[step][r] = xs[step](r, b);
+        inputs.push_back(seq[step].data());
+      }
+      reference[b] = cell.Forward(inputs);
+    }
+    LstmBatchState batched(hidden, batch);
+    for (size_t step = 0; step < kSteps; ++step) {
+      cell.StepForwardBatch(xs[step], &batched);
       for (size_t b = 0; b < batch; ++b) {
-        for (size_t r = 0; r < input_dim; ++r) xcol[r] = x(r, b);
-        cell.StepForward(xcol.data(), &scalar[b]);
+        const LstmStepCache& ref = reference[b][step];
         const std::string where =
             " sample " + std::to_string(b) + " step " + std::to_string(step);
         for (size_t r = 0; r < hidden; ++r) {
-          ExpectClose(batched.h(r, b), scalar[b].h[r], "h" + where);
-          ExpectClose(batched.c(r, b), scalar[b].c[r], "c" + where);
+          ExpectClose(batched.h(r, b), ref.h[r], "h" + where);
+          ExpectClose(batched.c(r, b), ref.c[r], "c" + where);
         }
       }
     }
@@ -219,9 +242,10 @@ TEST(LstmBatchStateTest, GatherScatterRoundTrips) {
 }
 
 TEST(RsrNetBatchTest, StepForwardBatchMatchesScalar) {
-  // Persistent per-trip streams advanced through a mix of batched and
-  // scalar steps, with varying batch compositions per call — the ragged
-  // final batch of a draining ingest wave is just a smaller B.
+  // Persistent per-trip streams advanced in waves of varying composition —
+  // the ragged final batch of a draining ingest wave is just a smaller B —
+  // against twin streams advanced one point at a time (StepForward, the
+  // width-1 call) and against RsrNet::Forward over each stream's history.
   core::RsrNetConfig cfg;
   cfg.num_edges = 50;
   cfg.embed_dim = 12;
@@ -233,6 +257,8 @@ TEST(RsrNetBatchTest, StepForwardBatchMatchesScalar) {
   constexpr size_t kStreams = 9;
   std::vector<core::RsrStream> batched_streams(kStreams);
   std::vector<core::RsrStream> scalar_streams(kStreams);
+  std::vector<std::vector<traj::EdgeId>> edge_history(kStreams);
+  std::vector<std::vector<uint8_t>> nrf_history(kStreams);
   for (int step = 0; step < 6; ++step) {
     // A random subset of streams receives a point this "wave".
     std::vector<size_t> wave;
@@ -273,6 +299,18 @@ TEST(RsrNetBatchTest, StepForwardBatchMatchesScalar) {
         ExpectClose(bs.h[r], ss.h[r], "carried h");
         ExpectClose(bs.c[r], ss.c[r], "carried c");
       }
+      // The sequence forward over the stream's whole history ends where
+      // the streaming steps are.
+      edge_history[wave[b]].push_back(edges[b]);
+      nrf_history[wave[b]].push_back(nrf[b]);
+      const core::RsrForward fwd =
+          net.Forward(edge_history[wave[b]], nrf_history[wave[b]]);
+      for (size_t r = 0; r < net.z_dim(); ++r) {
+        ExpectClose(z(r, b), fwd.z.back()[r],
+                    "z vs Forward, stream " + std::to_string(wave[b]));
+      }
+      ExpectClose(probs(0, b), fwd.probs.back()[0], "p0 vs Forward");
+      ExpectClose(probs(1, b), fwd.probs.back()[1], "p1 vs Forward");
     }
   }
 }

@@ -3,6 +3,7 @@
 // training in the repo) and convergence tests for Adam.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
@@ -234,11 +235,15 @@ TEST(LstmTest, StreamingMatchesSequenceForward) {
   for (auto& x : xs) inputs.push_back(x.data());
   auto caches = lstm.Forward(inputs);
 
-  LstmState state(H);
+  // The streaming step is StepForwardBatch; at B = 1 the (H x 1) state
+  // matrices are plain vectors.
+  LstmBatchState state(H, 1);
+  Matrix x(I, 1);
   for (size_t t = 0; t < T; ++t) {
-    lstm.StepForward(xs[t].data(), &state);
+    std::copy(xs[t].begin(), xs[t].end(), x.data());
+    lstm.StepForwardBatch(x, &state);
     for (size_t i = 0; i < H; ++i) {
-      EXPECT_NEAR(state.h[i], caches[t].h[i], 1e-5f) << "t=" << t;
+      EXPECT_NEAR(state.h(i, 0), caches[t].h[i], 1e-5f) << "t=" << t;
     }
   }
 }
@@ -248,16 +253,18 @@ TEST(LstmTest, ForgetBiasInitializedToOne) {
   Lstm lstm("b", 2, 3, &rng);
   // Indirect check: zero input and zero hidden should still partially retain
   // cell state thanks to the positive forget bias. Feed a nonzero then zero.
-  LstmState state(3);
-  const float x1[2] = {1.0f, -1.0f};
-  const float x0[2] = {0.0f, 0.0f};
-  lstm.StepForward(x1, &state);
-  Vec c_after_first = state.c;
-  lstm.StepForward(x0, &state);
+  LstmBatchState state(3, 1);
+  Matrix x(2, 1);
+  x(0, 0) = 1.0f;
+  x(1, 0) = -1.0f;
+  lstm.StepForwardBatch(x, &state);
+  const Matrix c_after_first = state.c;
+  x.SetZero();
+  lstm.StepForwardBatch(x, &state);
   // With forget bias 1, sigmoid(1) ~ 0.73 of the cell is retained.
   for (size_t i = 0; i < 3; ++i) {
-    if (std::abs(c_after_first[i]) > 1e-3f) {
-      EXPECT_GT(std::abs(state.c[i]), 0.3f * std::abs(c_after_first[i]));
+    if (std::abs(c_after_first(i, 0)) > 1e-3f) {
+      EXPECT_GT(std::abs(state.c(i, 0)), 0.3f * std::abs(c_after_first(i, 0)));
     }
   }
 }

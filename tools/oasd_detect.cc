@@ -45,9 +45,9 @@ int Main(int argc, char** argv) {
                                      : flags.GetString("input");
 
   const roadnet::RoadNetwork net = tools::LoadRoadNetworkOrExit(net_path);
+  const traj::Dataset input = tools::LoadDatasetOrExit(input_path, net);
   auto model = tools::ExitIfError(
       io::LoadModel(&net, flags.GetString("model")));
-  const traj::Dataset input = tools::LoadDatasetOrExit(input_path);
 
   core::AnomalyExplainer explainer(&net, &model->preprocessor());
 

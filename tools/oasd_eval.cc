@@ -36,7 +36,7 @@ int Main(int argc, char** argv) {
   const roadnet::RoadNetwork net = tools::LoadRoadNetworkOrExit(net_path);
   auto model = tools::ExitIfError(
       io::LoadModel(&net, flags.GetString("model")));
-  traj::Dataset test = tools::LoadDatasetOrExit(test_path);
+  traj::Dataset test = tools::LoadDatasetOrExit(test_path, net);
   if (flags.GetInt("limit") > 0 &&
       test.size() > static_cast<size_t>(flags.GetInt("limit"))) {
     std::vector<traj::LabeledTrajectory> subset(

@@ -173,7 +173,7 @@ int Main(int argc, char** argv) {
   const roadnet::RoadNetwork net = tools::LoadRoadNetworkOrExit(net_path);
   auto model =
       tools::ExitIfError(io::LoadModel(&net, flags.GetString("model")));
-  const traj::Dataset input = tools::LoadDatasetOrExit(input_path);
+  const traj::Dataset input = tools::LoadDatasetOrExit(input_path, net);
 
   class Sink : public serve::AlertSink {
    public:

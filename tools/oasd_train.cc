@@ -61,7 +61,7 @@ int Main(int argc, char** argv) {
                                      : flags.GetString("train");
 
   const roadnet::RoadNetwork net = tools::LoadRoadNetworkOrExit(net_path);
-  const traj::Dataset train = tools::LoadDatasetOrExit(train_path);
+  const traj::Dataset train = tools::LoadDatasetOrExit(train_path, net);
   std::printf("loaded %zu segments, %zu training trajectories (%zu SD pairs)\n",
               net.NumEdges(), train.size(), train.NumSdPairs());
 

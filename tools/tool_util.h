@@ -59,12 +59,27 @@ inline roadnet::RoadNetwork LoadRoadNetworkOrExit(const std::string& path) {
   return ExitIfError(roadnet::RoadNetwork::LoadCsv(path));
 }
 
-/// Loads a dataset: `.bin` binary, otherwise CSV.
-inline traj::Dataset LoadDatasetOrExit(const std::string& path) {
-  if (HasSuffix(path, ".bin")) {
-    return ExitIfError(io::LoadDataset(path));
+/// Loads a dataset: `.bin` binary, otherwise CSV. Exits with the first
+/// trajectory point whose edge id is outside `net`: the detector and the
+/// trainer index the network and the embedding tables with it.
+inline traj::Dataset LoadDatasetOrExit(const std::string& path,
+                                       const roadnet::RoadNetwork& net) {
+  traj::Dataset ds = HasSuffix(path, ".bin")
+                         ? ExitIfError(io::LoadDataset(path))
+                         : ExitIfError(traj::Dataset::LoadCsv(path));
+  for (const auto& lt : ds.trajs()) {
+    for (size_t i = 0; i < lt.traj.edges.size(); ++i) {
+      const traj::EdgeId e = lt.traj.edges[i];
+      if (e < 0 || static_cast<size_t>(e) >= net.NumEdges()) {
+        std::fprintf(stderr,
+                     "error: trajectory %lld point %zu: edge %d outside the "
+                     "road network (%zu edges)\n",
+                     static_cast<long long>(lt.traj.id), i, e, net.NumEdges());
+        std::exit(1);
+      }
+    }
   }
-  return ExitIfError(traj::Dataset::LoadCsv(path));
+  return ds;
 }
 
 }  // namespace rl4oasd::tools

@@ -13,8 +13,9 @@
 //      ingest with one point per trip per wave at batch width B in
 //      {1, 8, 32, 128}, points/s and us/point vs per-point Feed (the same
 //      width-1 model step, without the wave set-up).
-//      The win is GEMM/cache efficiency — the fused (4H x I) * (I x B)
-//      gate matmuls vectorize over the batch dimension — not threading.
+//      The win is GEMM/cache efficiency — the fused (B x I) * (I x 4H)
+//      gate matmuls reuse each weight row across the B sessions and
+//      amortize the per-call overhead — not threading.
 //   4. Per-point cost vs trip length: alert extraction is incremental
 //      (O(1) amortized per point), so the cost of a 12800-segment trip's
 //      points matches a 100-segment trip's — the pre-incremental monitor

@@ -125,7 +125,7 @@ void BM_FleetFeed(benchmark::State& state) {
 BENCHMARK(BM_FleetFeed);
 
 void BM_LstmStepBatch(benchmark::State& state) {
-  // The raw LSTM step: one fused (4H x I) x (I x B) step for B streams.
+  // The raw LSTM step: one fused (B x I) x (I x 4H) step for B streams.
   // items == points, so time-per-item is the per-point cost.
   Rng rng(3);
   auto& f = Fixture();
@@ -134,14 +134,20 @@ void BM_LstmStepBatch(benchmark::State& state) {
   const auto B = static_cast<size_t>(state.range(0));
   nn::Lstm lstm("micro", embed, hidden, &rng);
   nn::LstmBatchState batch_state(hidden, B);
-  nn::Matrix x(embed, B, 0.1f);
+  nn::Matrix x(B, embed, 0.1f);
   for (auto _ : state) {
     lstm.StepForwardBatch(x, &batch_state);
     benchmark::DoNotOptimize(batch_state.h.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(B));
 }
-BENCHMARK(BM_LstmStepBatch)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_LstmStepBatch)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(128);
 
 void BM_RsrStepBatch(benchmark::State& state) {
   // Full RSRNet streaming step: embedding gather, fused recurrent GEMMs,
@@ -167,7 +173,13 @@ void BM_RsrStepBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(B));
 }
-BENCHMARK(BM_RsrStepBatch)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_RsrStepBatch)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(128);
 
 void BM_DetectorFeedBatch(benchmark::State& state) {
   // The detector's per-point step: B concurrent sessions advanced one
@@ -202,16 +214,22 @@ void BM_DetectorFeedBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(B));
 }
-BENCHMARK(BM_DetectorFeedBatch)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_DetectorFeedBatch)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(128);
 
 void BM_GemmKernel(benchmark::State& state) {
-  // The raw blocked GEMM at the LSTM gate shape (4H x I) * (I x B).
+  // The raw blocked GEMM at the LSTM gate shape (B x I) * (I x 4H).
   auto& f = Fixture();
   const size_t embed = f.model.rsrnet().config().embed_dim;
   const size_t hidden = f.model.rsrnet().config().hidden_dim;
   const auto B = static_cast<size_t>(state.range(0));
-  nn::Matrix a(4 * hidden, embed, 0.01f);
-  nn::Matrix b(embed, B, 0.1f);
+  nn::Matrix a(B, embed, 0.1f);
+  nn::Matrix b(embed, 4 * hidden, 0.01f);
   nn::Matrix c;
   for (auto _ : state) {
     nn::MatMul(a, b, &c);

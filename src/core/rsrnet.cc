@@ -1,7 +1,6 @@
 #include "core/rsrnet.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/logging.h"
 
@@ -219,21 +218,21 @@ void RsrNet::StepForwardBatch(std::span<const traj::EdgeId> edges,
   const size_t H = config_.hidden_dim;
   const size_t N = config_.nrf_dim;
 
-  // Gather: embedding columns and per-stream LSTM states (fresh
-  // streams are sized here). Scratch buffers are thread-local and fully
-  // overwritten, so steady-state waves allocate nothing.
+  // Gather: embedding rows and per-stream LSTM states, batch-major. Fresh
+  // (empty) streams are sized here; any other stream must already hold
+  // H-long vectors, which Gather checks. Scratch buffers are thread-local
+  // and fully overwritten, so steady-state waves allocate nothing.
   static thread_local std::vector<size_t> ids;
   static thread_local std::vector<nn::LstmState*> states;
-  static thread_local nn::Matrix x;  // embed_dim x B
+  static thread_local nn::Matrix x;  // B x embed_dim
   static thread_local nn::LstmBatchState batch_state;
   ids.resize(B);
   states.resize(B);
   for (size_t b = 0; b < B; ++b) {
     ids[b] = static_cast<size_t>(edges[b]);
-    if (streams[b]->state.h.size() != H) {
-      streams[b]->state = nn::LstmState(H);
-    }
-    states[b] = &streams[b]->state;
+    nn::LstmState& state = streams[b]->state;
+    if (state.h.empty() && state.c.empty()) state = nn::LstmState(H);
+    states[b] = &state;
   }
   tcf_embed_.LookupBatch(ids, &x);
   batch_state.Gather(states, H);
@@ -242,14 +241,15 @@ void RsrNet::StepForwardBatch(std::span<const traj::EdgeId> edges,
 
   batch_state.Scatter(states);
 
-  // z = [h; nrf]: the hidden block copies whole (H x B, contiguous), the
-  // NRF embedding scatters per column.
+  // z = [h; nrf] feature-major (z_dim x B), column b from stream b's
+  // hidden row and NRF embedding; at B = 1 both are plain copies.
   z->EnsureShape(H + N, B);
-  std::memcpy(z->data(), batch_state.h.data(), H * B * sizeof(float));
   for (size_t b = 0; b < B; ++b) {
+    const float* hb = batch_state.h.Row(b);
     const float* nv = nrf_embed_.Lookup(nrf_bits[b] ? 1 : 0);
-    float* col = z->data() + H * B + b;
-    for (size_t r = 0; r < N; ++r) col[r * B] = nv[r];
+    float* col = z->data() + b;
+    for (size_t r = 0; r < H; ++r) col[r * B] = hb[r];
+    for (size_t r = 0; r < N; ++r) col[(H + r) * B] = nv[r];
   }
   if (probs != nullptr) {
     head_.ForwardBatch(*z, probs);

@@ -70,16 +70,22 @@ Status ReadRegistry(BinaryReader* r, nn::ParameterRegistry* registry) {
     if (it == by_name.end()) {
       return Status::IOError("checkpoint tensor not in model: " + name);
     }
-    nn::Matrix& dst = it->second->value;
+    nn::Parameter* p = it->second;
+    nn::Matrix& dst = p->value;
     if (dst.rows() != rows || dst.cols() != cols) {
       return Status::IOError(
           "shape mismatch for " + name + ": checkpoint " +
           std::to_string(rows) + "x" + std::to_string(cols) + ", model " +
           std::to_string(dst.rows()) + "x" + std::to_string(dst.cols()));
     }
-    for (size_t k = 0; k < dst.size(); ++k) {
-      RL4_RETURN_NOT_OK(r->ReadF32(&dst.data()[k]));
+    Status st;
+    for (size_t k = 0; k < dst.size() && st.ok(); ++k) {
+      st = r->ReadF32(&dst.data()[k]);
     }
+    // Resync even after a short read: the tensor is partly overwritten
+    // either way, and the mirror must match whatever `value` now holds.
+    p->SyncKMajor();
+    RL4_RETURN_NOT_OK(st);
     by_name.erase(it);
   }
   // count == by_name initial size and each hit erased one entry, so an empty

@@ -57,6 +57,7 @@ void AdamOptimizer::Step() {
       update_row(p->value.data(), p->grad.data(), m_[k].data(), v_[k].data(),
                  p->value.size());
     }
+    p->SyncKMajor();
   }
 }
 
@@ -70,11 +71,12 @@ void SgdOptimizer::Step() {
         const float* g = p->grad.Row(r);
         for (size_t c = 0; c < cols; ++c) w[c] -= lr_ * g[c];
       });
-      continue;
+    } else {
+      float* w = p->value.data();
+      const float* g = p->grad.data();
+      for (size_t i = 0; i < p->value.size(); ++i) w[i] -= lr_ * g[i];
     }
-    float* w = p->value.data();
-    const float* g = p->grad.data();
-    for (size_t i = 0; i < p->value.size(); ++i) w[i] -= lr_ * g[i];
+    p->SyncKMajor();
   }
 }
 

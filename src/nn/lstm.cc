@@ -1,43 +1,49 @@
 #include "nn/lstm.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace rl4oasd::nn {
 
+namespace {
+
+/// Gate activations over one sample's 4H pre-activations, in place:
+/// [i, f] sigmoid, [g] tanh, [o] sigmoid. Shared by the streaming step and
+/// the sequence forward, so activations never differ between the two.
+void ActivateGates(float* g, size_t H) {
+  for (size_t i = 0; i < 2 * H; ++i) g[i] = Sigmoid(g[i]);
+  for (size_t i = 2 * H; i < 3 * H; ++i) g[i] = Tanh(g[i]);
+  for (size_t i = 3 * H; i < 4 * H; ++i) g[i] = Sigmoid(g[i]);
+}
+
+void CheckStateSize(const LstmState& s, size_t b, size_t hidden) {
+  RL4_CHECK(s.h.size() == hidden && s.c.size() == hidden)
+      << "LSTM state of stream " << b << " has h/c lengths " << s.h.size()
+      << "/" << s.c.size() << ", expected " << hidden;
+}
+
+}  // namespace
+
 void LstmBatchState::Gather(std::span<const LstmState* const> states,
                             size_t hidden) {
   const size_t batch = states.size();
-  if (h.rows() != hidden || h.cols() != batch) {
-    h.Resize(hidden, batch);
-    c.Resize(hidden, batch);
-  }
+  h.EnsureShape(batch, hidden);
+  c.EnsureShape(batch, hidden);
   for (size_t b = 0; b < batch; ++b) {
-    RL4_CHECK_EQ(states[b]->h.size(), hidden);
-    float* hcol = h.data() + b;
-    float* ccol = c.data() + b;
-    const float* sh = states[b]->h.data();
-    const float* sc = states[b]->c.data();
-    for (size_t r = 0; r < hidden; ++r) {
-      hcol[r * batch] = sh[r];
-      ccol[r * batch] = sc[r];
-    }
+    CheckStateSize(*states[b], b, hidden);
+    std::copy(states[b]->h.begin(), states[b]->h.end(), h.Row(b));
+    std::copy(states[b]->c.begin(), states[b]->c.end(), c.Row(b));
   }
 }
 
 void LstmBatchState::Scatter(std::span<LstmState* const> states) const {
   const size_t batch = states.size();
-  RL4_CHECK_EQ(batch, h.cols());
-  const size_t hidden = h.rows();
+  RL4_CHECK_EQ(batch, h.rows());
+  const size_t hidden = h.cols();
   for (size_t b = 0; b < batch; ++b) {
-    RL4_CHECK_EQ(states[b]->h.size(), hidden);
-    const float* hcol = h.data() + b;
-    const float* ccol = c.data() + b;
-    float* sh = states[b]->h.data();
-    float* sc = states[b]->c.data();
-    for (size_t r = 0; r < hidden; ++r) {
-      sh[r] = hcol[r * batch];
-      sc[r] = ccol[r * batch];
-    }
+    CheckStateSize(*states[b], b, hidden);
+    std::copy(h.Row(b), h.Row(b) + hidden, states[b]->h.begin());
+    std::copy(c.Row(b), c.Row(b) + hidden, states[b]->c.begin());
   }
 }
 
@@ -48,6 +54,8 @@ Lstm::Lstm(std::string name, size_t input_dim, size_t hidden_dim,
       wx_(name + ".wx", 4 * hidden_dim, input_dim),
       wh_(name + ".wh", 4 * hidden_dim, hidden_dim),
       b_(name + ".b", 1, 4 * hidden_dim) {
+  wx_.EnableKMajorMirror();
+  wh_.EnableKMajorMirror();
   wx_.XavierInit(rng);
   wh_.XavierInit(rng);
   // Forget-gate bias of 1.0 is the standard trick for gradient flow early in
@@ -59,77 +67,69 @@ Lstm::Lstm(std::string name, size_t input_dim, size_t hidden_dim,
 
 void Lstm::StepForwardBatch(const Matrix& x, LstmBatchState* state) const {
   const size_t H = hidden_dim_;
-  const size_t B = x.cols();
-  RL4_CHECK_EQ(x.rows(), input_dim_);
-  RL4_CHECK_EQ(state->h.rows(), H);
-  RL4_CHECK_EQ(state->h.cols(), B);
-  RL4_CHECK_EQ(state->c.rows(), H);
-  RL4_CHECK_EQ(state->c.cols(), B);
-  // Same accumulation order as Forward's steps: Wx x, then + b, then
-  // + Wh h_prev (its own product chain, added once), then the activations.
-  // Thread-local scratch: fully overwritten every call (MatMul resizes), so
-  // steady-state waves do no allocation.
-  static thread_local Matrix gates;  // 4H x B
-  MatMul(wx_.value, x, &gates);
-  AddBiasPerRow(&gates, b_.value.Row(0));
-  MatMulAccum(wh_.value, state->h, &gates);
-  float* g = gates.data();
-  const size_t hb = H * B;
-  for (size_t i = 0; i < hb; ++i) g[i] = Sigmoid(g[i]);                // i
-  for (size_t i = hb; i < 2 * hb; ++i) g[i] = Sigmoid(g[i]);           // f
-  for (size_t i = 2 * hb; i < 3 * hb; ++i) g[i] = Tanh(g[i]);     // g
-  for (size_t i = 3 * hb; i < 4 * hb; ++i) g[i] = Sigmoid(g[i]);       // o
-  const float* ig = g;
-  const float* fg = g + hb;
-  const float* gg = g + 2 * hb;
-  const float* og = g + 3 * hb;
-  float* c = state->c.data();
-  float* h = state->h.data();
-  for (size_t i = 0; i < hb; ++i) {
-    c[i] = fg[i] * c[i] + ig[i] * gg[i];
-    h[i] = og[i] * Tanh(c[i]);
+  const size_t B = x.rows();
+  RL4_CHECK_EQ(x.cols(), input_dim_);
+  RL4_CHECK_EQ(state->h.rows(), B);
+  RL4_CHECK_EQ(state->h.cols(), H);
+  RL4_CHECK_EQ(state->c.rows(), B);
+  RL4_CHECK_EQ(state->c.cols(), H);
+  // Same accumulation order as Forward's steps: x Wx^T, then + b, then
+  // + h_prev Wh^T (its own product chain, added once), then the
+  // activations. Thread-local scratch: fully overwritten every call
+  // (MatMul resizes), so steady-state waves do no allocation.
+  static thread_local Matrix gates;  // B x 4H
+  MatMul(x, wx_.KMajor(), &gates);
+  AddBiasPerColumn(&gates, b_.value.Row(0));
+  MatMulAccum(state->h, wh_.KMajor(), &gates);
+  for (size_t b = 0; b < B; ++b) {
+    float* g = gates.Row(b);
+    ActivateGates(g, H);
+    const float* ig = g;
+    const float* fg = g + H;
+    const float* gg = g + 2 * H;
+    const float* og = g + 3 * H;
+    float* c = state->c.Row(b);
+    float* h = state->h.Row(b);
+    for (size_t i = 0; i < H; ++i) {
+      c[i] = fg[i] * c[i] + ig[i] * gg[i];
+      h[i] = og[i] * Tanh(c[i]);
+    }
   }
 }
 
 std::vector<LstmStepCache> Lstm::Forward(
     const std::vector<const float*>& inputs) const {
   const size_t H = hidden_dim_;
+  const size_t I = input_dim_;
   const size_t T = inputs.size();
   std::vector<LstmStepCache> caches(T);
   if (T == 0) return caches;
-  // Input projection for all timesteps in one GEMM: pack the inputs
-  // feature-major (I x T) and compute Wx * X as (4H x T). Each element is
-  // the same ascending-k dot chain a one-column step runs, so the gates are
+  // Input projection for all timesteps in one GEMM: the inputs stacked as
+  // rows (T x I) times Wx^T, plus the bias, as (T x 4H). Each element is
+  // the same ascending-k dot chain a one-row step runs, so the gates are
   // bit-identical to stepping StepForwardBatch.
-  static thread_local Matrix xf;  // I x T
-  static thread_local Matrix wxx;  // 4H x T
-  xf.EnsureShape(input_dim_, T);
+  static thread_local Matrix xs;     // T x I
+  static thread_local Matrix gates;  // T x 4H
+  xs.EnsureShape(T, I);
   for (size_t t = 0; t < T; ++t) {
-    const float* x = inputs[t];
-    float* col = xf.data() + t;
-    for (size_t r = 0; r < input_dim_; ++r) col[r * T] = x[r];
+    std::copy(inputs[t], inputs[t] + I, xs.Row(t));
   }
-  MatMul(wx_.value, xf, &wxx);
-  Vec h_prev(H, 0.0f);
-  Vec c_prev(H, 0.0f);
+  MatMul(xs, wx_.KMajor(), &gates);
+  AddBiasPerColumn(&gates, b_.value.Row(0));
+  const Matrix& wh_t = wh_.KMajor();
+  const Vec zero(H, 0.0f);
   for (size_t t = 0; t < T; ++t) {
     LstmStepCache& cache = caches[t];
-    cache.x.assign(inputs[t], inputs[t] + input_dim_);
-    cache.gates.resize(4 * H);
-    // gates = (Wx x + b) + Wh h_prev, with the recurrent dot product
-    // summed on its own before the single add — the association
-    // StepForwardBatch's GEMMs use (fresh product chain, added to C once).
-    float* g = cache.gates.data();
-    const float* wcol = wxx.data() + t;
-    for (size_t r = 0; r < 4 * H; ++r) {
-      g[r] = wcol[r * T] + b_.value(0, r) +
-             Dot(wh_.value.Row(r), h_prev.data(), H);
-    }
-    // Activations: [i, f] sigmoid, [g] tanh, [o] sigmoid.
-    for (size_t i = 0; i < 2 * H; ++i) g[i] = Sigmoid(g[i]);
-    for (size_t i = 2 * H; i < 3 * H; ++i) g[i] = Tanh(g[i]);
-    for (size_t i = 3 * H; i < 4 * H; ++i) g[i] = Sigmoid(g[i]);
-    cache.c_prev = c_prev;
+    cache.x.assign(inputs[t], inputs[t] + I);
+    // gates += h_prev Wh^T: the B = 1 recurrent product, its chain summed
+    // on its own and added once — the association StepForwardBatch uses.
+    const Vec& h_prev = t == 0 ? zero : caches[t - 1].h;
+    float* row = gates.Row(t);
+    Gemm(h_prev.data(), 1, H, H, wh_t.data(), 4 * H, 4 * H, row, 4 * H,
+         /*accumulate=*/true);
+    cache.gates.assign(row, row + 4 * H);
+    ActivateGates(cache.gates.data(), H);
+    cache.c_prev = t == 0 ? zero : caches[t - 1].c;
     cache.c.resize(H);
     cache.tanh_c.resize(H);
     cache.h.resize(H);
@@ -138,12 +138,10 @@ std::vector<LstmStepCache> Lstm::Forward(
     const float* gg = cache.gates.data() + 2 * H;
     const float* og = cache.gates.data() + 3 * H;
     for (size_t i = 0; i < H; ++i) {
-      cache.c[i] = fg[i] * c_prev[i] + ig[i] * gg[i];
+      cache.c[i] = fg[i] * cache.c_prev[i] + ig[i] * gg[i];
       cache.tanh_c[i] = Tanh(cache.c[i]);
       cache.h[i] = og[i] * cache.tanh_c[i];
     }
-    h_prev = cache.h;
-    c_prev = cache.c;
   }
   return caches;
 }

@@ -5,6 +5,13 @@
 //   * Streaming mode (online detection): each trip's LstmState carries
 //     (h, c) across incoming road segments; StepForwardBatch advances B >= 1
 //     trips by one segment each, gathered into an LstmBatchState.
+//
+// Both forwards are batch-major: row b of an input or state matrix is one
+// sample, and the gate pre-activations are (B x 4H) = X (B x I) * Wx^T
+// (I x 4H) + H (B x H) * Wh^T (H x 4H). The transposed weights are the
+// parameters' k-major mirrors (Parameter::KMajor), so the 4H gate outputs
+// are the GEMM's contiguous, vectorized axis at every width, B = 1
+// included; each gate element is still one ascending-k product chain.
 #pragma once
 
 #include <span>
@@ -27,21 +34,23 @@ struct LstmState {
   }
 };
 
-/// Recurrent state of a batch of B streaming LSTMs: feature-major (H x B)
-/// matrices whose column b is sample b's state, so the gate pre-activations
+/// Recurrent state of a batch of B streaming LSTMs: batch-major (B x H)
+/// matrices whose row b is stream b's state, so the gate pre-activations
 /// of the whole batch are two GEMMs. Built by gathering per-stream states,
 /// advanced by Lstm::StepForwardBatch, scattered back.
 struct LstmBatchState {
-  Matrix h;  // H x B
-  Matrix c;  // H x B
+  Matrix h;  // B x H
+  Matrix c;  // B x H
 
   LstmBatchState() = default;
   LstmBatchState(size_t hidden, size_t batch)
-      : h(hidden, batch), c(hidden, batch) {}
+      : h(batch, hidden), c(batch, hidden) {}
 
-  /// Copies states[b] (each of length `hidden`) into column b.
+  /// Copies states[b] into row b. Both vectors of every state must have
+  /// length `hidden` (checked).
   void Gather(std::span<const LstmState* const> states, size_t hidden);
-  /// Copies column b back into states[b].
+  /// Copies row b back into states[b], whose vectors must have length H
+  /// (checked).
   void Scatter(std::span<LstmState* const> states) const;
 };
 
@@ -64,19 +73,20 @@ class Lstm {
   size_t input_dim() const { return input_dim_; }
   size_t hidden_dim() const { return hidden_dim_; }
 
-  /// Streaming step over B >= 1 independent streams: x is (input_dim x B)
-  /// with sample b in column b, and `state` carries (H x B) hidden/cell
+  /// Streaming step over B >= 1 independent streams: x is (B x input_dim)
+  /// with sample b in row b, and `state` carries (B x H) hidden/cell
   /// matrices updated in place. The four gate matmuls of all B streams run
-  /// as one (4H x I) * (I x B) GEMM (plus the recurrent (4H x H) * (H x B)),
-  /// and column b's result is the step Forward takes from sample b's state
+  /// as one (B x I) * (I x 4H) GEMM (plus the recurrent (B x H) * (H x 4H)),
+  /// and row b's result is the step Forward takes from sample b's state
   /// whatever B is (see Gemm's equivalence contract). Inference only: no
   /// caches are kept.
   void StepForwardBatch(const Matrix& x, LstmBatchState* state) const;
 
   /// Sequence forward from the zero state. Returns per-step caches (the
   /// hidden output of step t is caches[t].h). The input projection of all
-  /// timesteps runs as one (4H x I) * (I x T) GEMM; the recurrent part is
-  /// inherently sequential. Bit-identical to stepping StepForwardBatch.
+  /// timesteps runs as one (T x I) * (I x 4H) GEMM; the recurrent part is
+  /// inherently sequential, one B = 1 product per step. Bit-identical to
+  /// stepping StepForwardBatch.
   std::vector<LstmStepCache> Forward(
       const std::vector<const float*>& inputs) const;
 
@@ -110,8 +120,8 @@ class Lstm {
  private:
   size_t input_dim_;
   size_t hidden_dim_;
-  Parameter wx_;  // 4H x input_dim
-  Parameter wh_;  // 4H x hidden_dim
+  Parameter wx_;  // 4H x input_dim, k-major mirrored
+  Parameter wh_;  // 4H x hidden_dim, k-major mirrored
   Parameter b_;   // 1 x 4H
 };
 

@@ -4,18 +4,52 @@
 
 namespace rl4oasd::nn {
 
+void Parameter::SyncKMajor() {
+  if (!k_major) return;
+  const size_t rows = value.rows();
+  const size_t cols = value.cols();
+  value_t.EnsureShape(cols, rows);
+  for (size_t r = 0; r < rows; ++r) {
+    const float* src = value.Row(r);
+    float* dst = value_t.data() + r;
+    for (size_t c = 0; c < cols; ++c) dst[c * rows] = src[c];
+  }
+}
+
+void Parameter::CheckKMajorFresh() const {
+  RL4_CHECK(k_major) << name << " has no k-major mirror";
+  const size_t rows = value.rows();
+  RL4_CHECK(value_t.rows() == value.cols() && value_t.cols() == rows)
+      << "k-major mirror of " << name << " has the wrong shape";
+  if (rows == 0) return;
+  // One rotating row per call: a weight written without a resync is caught
+  // within `rows` reads, at O(cols) per read. Compared as bits, so a NaN
+  // weight is fresh when its mirror holds the same NaN.
+  static thread_local size_t probe = 0;
+  const size_t r = probe++ % rows;
+  const float* src = value.Row(r);
+  for (size_t c = 0; c < value.cols(); ++c) {
+    RL4_CHECK(std::bit_cast<uint32_t>(src[c]) ==
+              std::bit_cast<uint32_t>(value_t(c, r)))
+        << "stale k-major mirror of " << name << ": value(" << r << ", " << c
+        << ") was written without SyncKMajor()";
+  }
+}
+
 void Parameter::XavierInit(rl4oasd::Rng* rng) {
   const float limit =
       std::sqrt(6.0f / static_cast<float>(value.rows() + value.cols()));
   for (size_t i = 0; i < value.size(); ++i) {
     value.data()[i] = static_cast<float>(rng->Uniform(-limit, limit));
   }
+  SyncKMajor();
 }
 
 void Parameter::UniformInit(rl4oasd::Rng* rng, float scale) {
   for (size_t i = 0; i < value.size(); ++i) {
     value.data()[i] = static_cast<float>(rng->Uniform(-scale, scale));
   }
+  SyncKMajor();
 }
 
 GradientSink::GradientSink(const ParameterRegistry& registry) {

@@ -48,9 +48,41 @@ struct Parameter {
   bool row_sparse = false;
   std::vector<uint64_t> touched_bits;  // ceil(rows/64) words, row bitmap
 
+  /// k-major mirror, opted into by layers that multiply batch-major
+  /// activations by value^T (the LSTM gate weights): `value_t` is `value`
+  /// transposed (cols x rows), so the gate outputs are the contiguous axis
+  /// the GEMM vectorizes over. The contract: whoever writes `value` calls
+  /// SyncKMajor() before the next read of the mirror. Every in-library
+  /// writer does (XavierInit/UniformInit, the optimizers' Step, checkpoint
+  /// and bundle loads), on the thread that wrote `value`, so the mirror
+  /// needs no synchronization of its own; code that writes `value`
+  /// directly (a test perturbing a weight) must resync itself. Debug
+  /// builds check the mirror against `value` on every KMajor() read.
+  bool k_major = false;
+  Matrix value_t;
+
   Parameter() = default;
   Parameter(std::string n, size_t rows, size_t cols)
       : name(std::move(n)), value(rows, cols), grad(rows, cols) {}
+
+  /// Turns on the k-major mirror and fills it from `value`.
+  void EnableKMajorMirror() {
+    k_major = true;
+    SyncKMajor();
+  }
+
+  /// Rewrites the mirror from `value` (no-op without the mirror).
+  void SyncKMajor();
+
+  /// The mirror, for readers. Debug builds compare one rotating row of
+  /// `value` with its mirror column per call (O(cols), so checked runs stay
+  /// fast) and abort on a stale mirror.
+  const Matrix& KMajor() const {
+#ifndef NDEBUG
+    CheckKMajorFresh();
+#endif
+    return value_t;
+  }
 
   /// Turns on row-sparse tracking (call once, before any grad writes).
   void EnableRowSparseGrads() {
@@ -81,6 +113,9 @@ struct Parameter {
 
   /// U(-scale, scale) initialization (used for embedding tables).
   void UniformInit(rl4oasd::Rng* rng, float scale);
+
+ private:
+  void CheckKMajorFresh() const;
 };
 
 /// Non-owning collection of parameters belonging to one model.

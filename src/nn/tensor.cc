@@ -122,7 +122,8 @@ __attribute__((target("avx2"))) void GemmAvx2(const float* a, size_t m,
 void Gemm(const float* a, size_t m, size_t k, size_t lda, const float* b,
           size_t n, size_t ldb, float* c, size_t ldc, bool accumulate) {
   if (n == 1) {
-    // One column (the width-1 streaming step): MatVec's per-row chain in a
+    // One column (a width-1 Linear head: the RSRNet classifier and the
+    // ASDNet policy of a single session): MatVec's per-row chain in a
     // scalar register instead of the tail tile's variable-width array, at
     // the baseline ISA like MatVec (a lone chain has nothing to vectorize,
     // and ran slower in the AVX2 clone).
@@ -167,6 +168,14 @@ void AddBiasPerRow(Matrix* c, const float* bias) {
     float* row = c->Row(r);
     const float b = bias[r];
     for (size_t j = 0; j < cols; ++j) row[j] += b;
+  }
+}
+
+void AddBiasPerColumn(Matrix* c, const float* bias) {
+  const size_t cols = c->cols();
+  for (size_t r = 0; r < c->rows(); ++r) {
+    float* row = c->Row(r);
+    for (size_t j = 0; j < cols; ++j) row[j] += bias[j];
   }
 }
 

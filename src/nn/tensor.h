@@ -1,9 +1,9 @@
 // Dense row-major float matrix plus the vector and matrix kernels the
 // networks need: matrix-vector products and elementwise ops for the
-// training-side single-sample paths, and a blocked GEMM for the streaming
-// inference step, where B stacked samples (B >= 1) are laid out
-// column-wise so the recurrent gate matmuls become one (4H x I) * (I x B)
-// product.
+// training-side single-sample paths, and a blocked GEMM for the batched
+// paths. The LSTM stacks B >= 1 samples as rows, so its gate matmuls are one
+// (B x I) * (I x 4H) product against a k-major weight mirror; the Linear
+// heads stack samples as columns, (out x in) * (in x B).
 #pragma once
 
 #include <algorithm>
@@ -80,13 +80,17 @@ void MatVec(const Matrix& m, const float* x, float* y);
 ///
 /// Equivalence contract: for every output element the products are added in
 /// ascending-k order as ONE unbroken chain, exactly like the scalar MatVec
-/// dot loop, so a column's result does not depend on how many columns ride
-/// along, and n == 1 is bit-identical to MatVec (tests enforce <= 1e-6
-/// relative across widths; on one toolchain the results are bit-identical).
-/// The kernel tiles the contiguous `n` (batch) dimension into register
-/// accumulators and auto-vectorizes over it; n == 1 runs MatVec's per-row
-/// loop. k deliberately runs unblocked — splitting k into partial sums
-/// would reassociate the chains and break the contract.
+/// dot loop, so an element's result does not depend on how many rows or
+/// columns ride along, and n == 1 is bit-identical to MatVec. On one
+/// toolchain this is bit-identity, and tests assert it bitwise (the LSTM
+/// step at every width against the sequence forward, n == 1 against
+/// MatVec). The kernel tiles the contiguous `n` dimension into register
+/// accumulators and auto-vectorizes over it: for the LSTM gates that axis
+/// is the 4H outputs, so every batch width m, 1 included, runs at full
+/// SIMD width. n == 1 (the width-1 calls of the feature-major Linear heads)
+/// runs MatVec's per-row loop in a scalar register, since a lone column has
+/// nothing to vectorize. k deliberately runs unblocked — splitting k into
+/// partial sums would reassociate the chains and break the contract.
 void Gemm(const float* a, size_t m, size_t k, size_t lda, const float* b,
           size_t n, size_t ldb, float* c, size_t ldc, bool accumulate);
 
@@ -99,6 +103,10 @@ void MatMulAccum(const Matrix& a, const Matrix& b, Matrix* c);
 /// Adds bias[r] to every element of row r (broadcast over the batch
 /// dimension of a feature-major batch matrix).
 void AddBiasPerRow(Matrix* c, const float* bias);
+
+/// Adds bias[j] to every element of column j (broadcast over the rows of a
+/// batch-major matrix).
+void AddBiasPerColumn(Matrix* c, const float* bias);
 
 /// Column-wise numerically stable softmax over an (n_classes x batch)
 /// logits matrix, in place: each column b is softmaxed independently, with

@@ -48,6 +48,10 @@ RawTrajectory GpsSampler::Sample(const MapMatchedTrajectory& traj) {
     }
     t = t_end;
   }
+  // Drop the push_back growth slack (~40% of the points on average): callers
+  // keep whole corpora of raw traces resident, e.g. a service's training
+  // set next to its live fleet.
+  raw.points.shrink_to_fit();
   return raw;
 }
 

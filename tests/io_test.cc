@@ -4,6 +4,7 @@
 // drift) verifies that corrupt inputs are rejected with a clean Status
 // instead of undefined behaviour.
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -15,6 +16,7 @@
 #include "io/checkpoint.h"
 #include "io/dataset_io.h"
 #include "io/model_io.h"
+#include "nn/lstm.h"
 #include "test_util.h"
 
 namespace rl4oasd {
@@ -199,6 +201,32 @@ TEST_F(IoTest, RegistryRoundTrip) {
   }
   for (size_t i = 0; i < b.value.size(); ++i) {
     EXPECT_EQ(b.value.data()[i], b2.value.data()[i]);
+  }
+}
+
+// Loading a checkpoint writes `value`, so it must refresh the LSTM's k-major
+// weight mirrors: afterwards each mirror is the loaded value^T bit for bit.
+TEST_F(IoTest, RegistryLoadRefreshesKMajorMirrors) {
+  Rng rng(5);
+  nn::Lstm saved("cell", 3, 4, &rng);
+  nn::ParameterRegistry reg;
+  saved.RegisterParams(&reg);
+  const std::string path = Path("lstm.bin");
+  ASSERT_TRUE(io::SaveRegistry(reg, path).ok());
+
+  nn::Lstm loaded("cell", 3, 4, &rng);  // different initial draws
+  nn::ParameterRegistry reg2;
+  loaded.RegisterParams(&reg2);
+  ASSERT_TRUE(io::LoadRegistry(path, &reg2).ok());
+  size_t mirrored = 0;
+  EXPECT_TRUE(testing::StaleKMajorMirrors(reg2, &mirrored).empty());
+  EXPECT_EQ(mirrored, 2u);
+  for (size_t k = 0; k < reg.params().size(); ++k) {
+    EXPECT_EQ(std::memcmp(reg.params()[k]->value.data(),
+                          reg2.params()[k]->value.data(),
+                          reg.params()[k]->value.size() * sizeof(float)),
+              0)
+        << reg.params()[k]->name;
   }
 }
 
@@ -401,6 +429,13 @@ TEST_F(ModelBundleTest, SaveLoadPreservesDetection) {
 
   auto loaded = io::LoadModel(&net, path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+  // The bundle load refreshed the RSRNet LSTM's k-major weight mirrors.
+  size_t mirrored = 0;
+  EXPECT_TRUE(testing::StaleKMajorMirrors(
+                  *(*loaded)->mutable_rsrnet()->registry(), &mirrored)
+                  .empty());
+  EXPECT_EQ(mirrored, 2u);
 
   // The loaded model must reproduce the original's labels exactly on every
   // test trajectory (both detectors are deterministic argmax).

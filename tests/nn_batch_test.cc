@@ -7,8 +7,9 @@
 //
 // Equivalence contract (see nn::Gemm): every kernel adds each output
 // element's products in the same ascending-k order as the scalar dot loops,
-// so results agree to <= 1e-6 relative tolerance (bit-identical on one
-// toolchain; GemmTest.SingleColumnMatchesMatVec asserts exactly that).
+// so results are bit-identical on one toolchain. The LSTM step and
+// GemmTest.SingleColumnMatchesMatVec assert exactly that; the other cases
+// allow 1e-6 relative.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -140,12 +141,12 @@ TEST(EmbeddingBatchTest, LookupBatchMatchesLookup) {
     for (size_t b = 0; b < batch; ++b) ids[b] = rng.UniformInt(23);
     Matrix out;
     embed.LookupBatch(ids, &out);
-    ASSERT_EQ(out.rows(), 7u);
-    ASSERT_EQ(out.cols(), batch);
+    ASSERT_EQ(out.rows(), batch);
+    ASSERT_EQ(out.cols(), 7u);
     for (size_t b = 0; b < batch; ++b) {
       const float* row = embed.Lookup(ids[b]);
       for (size_t r = 0; r < 7; ++r) {
-        EXPECT_EQ(out(r, b), row[r]) << "id " << ids[b] << " dim " << r;
+        EXPECT_EQ(out(b, r), row[r]) << "id " << ids[b] << " dim " << r;
       }
     }
   }
@@ -174,41 +175,43 @@ TEST(LinearBatchTest, ForwardBatchMatchesForward) {
 }
 
 // Drives kSteps batched steps from the zero state (so every step after the
-// first carries a nonzero state) and checks every column after every step
-// against an independent reference: Lstm::Forward over that column's input
-// sequence.
+// first carries a nonzero state) and checks every row after every step
+// against an independent reference: Lstm::Forward over that row's input
+// sequence. The contract is bit-identity, so the comparison is exact. The
+// widths are fixed, not drawn, so every narrow wave (1-9) and two wide ones
+// (16, 33) run on every invocation.
 TEST(LstmBatchTest, StepForwardBatchMatchesStreaming) {
   Rng rng(21);
   constexpr size_t kSteps = 5;
-  for (int trial = 0; trial < 8; ++trial) {
+  for (const size_t batch : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 33}) {
     const size_t input_dim = 1 + rng.UniformInt(40);
     const size_t hidden = 1 + rng.UniformInt(40);
-    const size_t batch = trial == 0 ? 1 : 1 + rng.UniformInt(33);
     Lstm cell("t.cell", input_dim, hidden, &rng);
     std::vector<Matrix> xs;
     for (size_t step = 0; step < kSteps; ++step) {
-      xs.push_back(RandomMatrix(input_dim, batch, &rng));
+      xs.push_back(RandomMatrix(batch, input_dim, &rng));
     }
     std::vector<std::vector<LstmStepCache>> reference(batch);
     for (size_t b = 0; b < batch; ++b) {
-      std::vector<Vec> seq(kSteps, Vec(input_dim));
       std::vector<const float*> inputs;
       for (size_t step = 0; step < kSteps; ++step) {
-        for (size_t r = 0; r < input_dim; ++r) seq[step][r] = xs[step](r, b);
-        inputs.push_back(seq[step].data());
+        inputs.push_back(xs[step].Row(b));
       }
       reference[b] = cell.Forward(inputs);
     }
     LstmBatchState batched(hidden, batch);
+    ASSERT_EQ(batched.h.rows(), batch);
+    ASSERT_EQ(batched.h.cols(), hidden);
     for (size_t step = 0; step < kSteps; ++step) {
       cell.StepForwardBatch(xs[step], &batched);
       for (size_t b = 0; b < batch; ++b) {
         const LstmStepCache& ref = reference[b][step];
-        const std::string where =
-            " sample " + std::to_string(b) + " step " + std::to_string(step);
+        const std::string where = "B=" + std::to_string(batch) + " sample " +
+                                  std::to_string(b) + " step " +
+                                  std::to_string(step);
         for (size_t r = 0; r < hidden; ++r) {
-          ExpectClose(batched.h(r, b), ref.h[r], "h" + where);
-          ExpectClose(batched.c(r, b), ref.c[r], "c" + where);
+          EXPECT_EQ(batched.h(b, r), ref.h[r]) << "h " << where;
+          EXPECT_EQ(batched.c(b, r), ref.c[r]) << "c " << where;
         }
       }
     }
@@ -232,6 +235,13 @@ TEST(LstmBatchStateTest, GatherScatterRoundTrips) {
   }
   LstmBatchState batch;
   batch.Gather(in, H);
+  // Batch-major: row b is stream b's state.
+  ASSERT_EQ(batch.h.rows(), B);
+  ASSERT_EQ(batch.h.cols(), H);
+  for (size_t b = 0; b < B; ++b) {
+    EXPECT_EQ(Vec(batch.h.Row(b), batch.h.Row(b) + H), states[b].h);
+    EXPECT_EQ(Vec(batch.c.Row(b), batch.c.Row(b) + H), states[b].c);
+  }
   const std::vector<LstmState> before = states;
   for (auto& s : states) s.Reset();
   batch.Scatter(out);
@@ -239,6 +249,24 @@ TEST(LstmBatchStateTest, GatherScatterRoundTrips) {
     EXPECT_EQ(states[b].h, before[b].h);
     EXPECT_EQ(states[b].c, before[b].c);
   }
+}
+
+// Gather and Scatter check both vectors of every state: a short c would be
+// read (and written) out of bounds.
+TEST(LstmBatchStateDeathTest, WrongSizedStateAborts) {
+  const size_t H = 6;
+  LstmState good(H);
+  LstmState short_c(H);
+  short_c.c.resize(H - 1);
+  const std::vector<const LstmState*> in = {&good, &short_c};
+  LstmBatchState batch;
+  EXPECT_DEATH(batch.Gather(in, H),
+               "LSTM state of stream 1 has h/c lengths 6/5, expected 6");
+  const std::vector<const LstmState*> ok = {&good, &good};
+  batch.Gather(ok, H);
+  const std::vector<LstmState*> out = {&good, &short_c};
+  EXPECT_DEATH(batch.Scatter(out),
+               "LSTM state of stream 1 has h/c lengths 6/5, expected 6");
 }
 
 TEST(RsrNetBatchTest, StepForwardBatchMatchesScalar) {
@@ -313,6 +341,39 @@ TEST(RsrNetBatchTest, StepForwardBatchMatchesScalar) {
       ExpectClose(probs(1, b), fwd.probs.back()[1], "p1 vs Forward");
     }
   }
+}
+
+// RsrNet sizes only fresh (empty) streams. Any other stream whose state is
+// not hidden_dim long is a caller bug, and the step aborts instead of
+// silently restarting the trip's recurrent state (a short h) or reading and
+// writing out of bounds (a short c).
+TEST(RsrNetBatchDeathTest, WrongSizedStreamStateAborts) {
+  core::RsrNetConfig cfg;
+  cfg.num_edges = 20;
+  cfg.embed_dim = 4;
+  cfg.nrf_dim = 3;
+  cfg.hidden_dim = 5;
+  core::RsrNet net(cfg);
+  const traj::EdgeId edge = 3;
+
+  core::RsrStream fresh;  // empty: sized by the step
+  net.StepForward(edge, 0, &fresh, nullptr);
+  EXPECT_EQ(fresh.state.h.size(), 5u);
+  EXPECT_EQ(fresh.state.c.size(), 5u);
+
+  core::RsrStream short_h(5);
+  short_h.state.h.resize(4);
+  EXPECT_DEATH(net.StepForward(edge, 0, &short_h, nullptr),
+               "LSTM state of stream 0 has h/c lengths 4/5, expected 5");
+
+  core::RsrStream short_c(5);
+  short_c.state.c.resize(2);
+  core::RsrStream* wave[] = {&fresh, &short_c};
+  const traj::EdgeId edges[] = {edge, edge};
+  const uint8_t nrf[] = {0, 1};
+  Matrix z;
+  EXPECT_DEATH(net.StepForwardBatch(edges, nrf, wave, &z),
+               "LSTM state of stream 1 has h/c lengths 5/2, expected 5");
 }
 
 }  // namespace

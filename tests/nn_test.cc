@@ -12,6 +12,7 @@
 #include "nn/linear.h"
 #include "nn/lstm.h"
 #include "nn/tensor.h"
+#include "test_util.h"
 
 namespace rl4oasd::nn {
 namespace {
@@ -195,15 +196,20 @@ TEST(LstmGradientCheck, ParametersAndInputs) {
   lstm.Backward(caches, d_h, &d_x);
 
   // Spot-check several parameter coordinates across all three tensors.
+  // Each direct write of a weight resyncs its k-major mirror, which the
+  // forward reads.
   for (Parameter* p : reg.params()) {
     for (size_t k = 0; k < p->value.size(); k += p->value.size() / 5 + 1) {
       float* w = p->value.data();
       const float orig = w[k];
       w[k] = orig + kFdEps;
+      p->SyncKMajor();
       const float up = loss();
       w[k] = orig - kFdEps;
+      p->SyncKMajor();
       const float down = loss();
       w[k] = orig;
+      p->SyncKMajor();
       const float fd = (up - down) / (2 * kFdEps);
       EXPECT_NEAR(p->grad.data()[k], fd,
                   kFdTol * std::max(1.0f, std::abs(fd)))
@@ -235,15 +241,15 @@ TEST(LstmTest, StreamingMatchesSequenceForward) {
   for (auto& x : xs) inputs.push_back(x.data());
   auto caches = lstm.Forward(inputs);
 
-  // The streaming step is StepForwardBatch; at B = 1 the (H x 1) state
+  // The streaming step is StepForwardBatch; at B = 1 the (1 x H) state
   // matrices are plain vectors.
   LstmBatchState state(H, 1);
-  Matrix x(I, 1);
+  Matrix x(1, I);
   for (size_t t = 0; t < T; ++t) {
     std::copy(xs[t].begin(), xs[t].end(), x.data());
     lstm.StepForwardBatch(x, &state);
     for (size_t i = 0; i < H; ++i) {
-      EXPECT_NEAR(state.h(i, 0), caches[t].h[i], 1e-5f) << "t=" << t;
+      EXPECT_NEAR(state.h(0, i), caches[t].h[i], 1e-5f) << "t=" << t;
     }
   }
 }
@@ -254,17 +260,17 @@ TEST(LstmTest, ForgetBiasInitializedToOne) {
   // Indirect check: zero input and zero hidden should still partially retain
   // cell state thanks to the positive forget bias. Feed a nonzero then zero.
   LstmBatchState state(3, 1);
-  Matrix x(2, 1);
+  Matrix x(1, 2);
   x(0, 0) = 1.0f;
-  x(1, 0) = -1.0f;
+  x(0, 1) = -1.0f;
   lstm.StepForwardBatch(x, &state);
   const Matrix c_after_first = state.c;
   x.SetZero();
   lstm.StepForwardBatch(x, &state);
   // With forget bias 1, sigmoid(1) ~ 0.73 of the cell is retained.
   for (size_t i = 0; i < 3; ++i) {
-    if (std::abs(c_after_first(i, 0)) > 1e-3f) {
-      EXPECT_GT(std::abs(state.c(i, 0)), 0.3f * std::abs(c_after_first(i, 0)));
+    if (std::abs(c_after_first(0, i)) > 1e-3f) {
+      EXPECT_GT(std::abs(state.c(0, i)), 0.3f * std::abs(c_after_first(0, i)));
     }
   }
 }
@@ -328,6 +334,75 @@ TEST(SgdTest, StepsDownhill) {
   opt.Step();
   EXPECT_FLOAT_EQ(w.value(0, 0), 0.9f);
   EXPECT_FLOAT_EQ(w.value(0, 1), -0.9f);
+}
+
+// The LSTM's gate weights carry k-major mirrors that every in-library
+// writer of `value` refreshes. Init, an Adam step and an SGD step each leave
+// every mirror equal to value^T bit for bit (the checkpoint and bundle
+// loads are checked in io_test, Rl4Oasd::FineTune in core_finetune_test).
+TEST(KMajorMirrorTest, InitAndOptimizerStepsRefreshTheMirror) {
+  Rng rng(41);
+  Lstm lstm("m", 5, 7, &rng);
+  ParameterRegistry reg;
+  lstm.RegisterParams(&reg);
+  size_t mirrored = 0;
+  EXPECT_TRUE(testing::StaleKMajorMirrors(reg, &mirrored).empty())
+      << "after XavierInit";
+  EXPECT_EQ(mirrored, 2u);  // wx and wh; the bias is not mirrored
+
+  Parameter table("t", 6, 3);
+  table.EnableKMajorMirror();
+  table.UniformInit(&rng, 0.5f);
+  ParameterRegistry one;
+  one.Register(&table);
+  EXPECT_TRUE(testing::StaleKMajorMirrors(one, &mirrored).empty())
+      << "after UniformInit";
+  EXPECT_EQ(mirrored, 1u);
+
+  auto random_grads = [&] {
+    for (Parameter* p : reg.params()) {
+      for (size_t i = 0; i < p->grad.size(); ++i) {
+        p->grad.data()[i] = static_cast<float>(rng.Uniform(-1, 1));
+      }
+    }
+  };
+  const Matrix wx_before = reg.params()[0]->value;
+  AdamOptimizer adam(&reg, {});
+  random_grads();
+  adam.Step();
+  EXPECT_NE(reg.params()[0]->value(0, 0), wx_before(0, 0));
+  EXPECT_TRUE(testing::StaleKMajorMirrors(reg, &mirrored).empty())
+      << "after an Adam step";
+
+  const Matrix wx_after_adam = reg.params()[0]->value;
+  SgdOptimizer sgd(&reg, 0.1f);
+  random_grads();
+  sgd.Step();
+  EXPECT_NE(reg.params()[0]->value(0, 0), wx_after_adam(0, 0));
+  EXPECT_TRUE(testing::StaleKMajorMirrors(reg, &mirrored).empty())
+      << "after an SGD step";
+}
+
+// A direct write of `value` without SyncKMajor() leaves the mirror stale;
+// Debug builds catch it on the next read of the mirror.
+TEST(KMajorMirrorDeathTest, StaleMirrorTripsTheFreshnessCheck) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the freshness check runs in Debug builds only";
+#else
+  Rng rng(43);
+  Lstm lstm("d", 3, 4, &rng);
+  ParameterRegistry reg;
+  lstm.RegisterParams(&reg);
+  const Vec x = {0.1f, -0.2f, 0.3f};
+  const std::vector<const float*> inputs = {x.data()};
+  // Every row changes, so whichever row the rotating probe picks is stale.
+  Parameter* wx = reg.params()[0];
+  for (size_t i = 0; i < wx->value.size(); ++i) wx->value.data()[i] += 1.0f;
+  EXPECT_DEATH(lstm.Forward(inputs), "stale k-major mirror of d.wx");
+  // The resync is all it takes.
+  wx->SyncKMajor();
+  EXPECT_EQ(lstm.Forward(inputs).size(), 1u);
+#endif
 }
 
 TEST(AdamTest, LearningRateMutable) {

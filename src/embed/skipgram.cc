@@ -16,6 +16,7 @@ SkipGramTrainer::SkipGramTrainer(const roadnet::RoadNetwork* net,
   in_.Resize(n, config_.dim);
   out_.Resize(n, config_.dim);
   aux_w_.Resize(3, config_.dim);
+  grad_in_.resize(config_.dim);
   const float scale = 0.5f / static_cast<float>(config_.dim);
   for (size_t i = 0; i < in_.size(); ++i) {
     in_.data()[i] = static_cast<float>(rng_.Uniform(-scale, scale));
@@ -59,18 +60,16 @@ std::vector<std::vector<EdgeId>> SkipGramTrainer::BuildCorpus(
   return corpus;
 }
 
-double SkipGramTrainer::UpdatePair(EdgeId center, EdgeId context, double lr) {
+void SkipGramTrainer::UpdatePair(EdgeId center, EdgeId context, double lr) {
   const size_t dim = config_.dim;
   float* v_in = in_.Row(center);
-  std::vector<float> grad_in(dim, 0.0f);
-  double loss = 0.0;
+  float* grad_in = grad_in_.data();
+  std::fill(grad_in_.begin(), grad_in_.end(), 0.0f);
 
   auto step = [&](EdgeId target, float label) {
     float* v_out = out_.Row(target);
     const float dot = nn::Dot(v_in, v_out, dim);
     const float p = nn::Sigmoid(dot);
-    loss += -(label > 0.5f ? std::log(std::max(p, 1e-7f))
-                           : std::log(std::max(1.0f - p, 1e-7f)));
     const float g = (p - label) * static_cast<float>(lr);
     for (size_t d = 0; d < dim; ++d) {
       grad_in[d] += g * v_out[d];
@@ -88,7 +87,6 @@ double SkipGramTrainer::UpdatePair(EdgeId center, EdgeId context, double lr) {
     step(neg, 0.0f);
   }
   for (size_t d = 0; d < dim; ++d) v_in[d] -= grad_in[d];
-  return loss;
 }
 
 void SkipGramTrainer::UpdateAux(EdgeId center, double lr) {

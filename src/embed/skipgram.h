@@ -50,9 +50,8 @@ class SkipGramTrainer {
       const traj::Dataset& dataset);
 
   /// One (center, context) positive update with `negatives` sampled
-  /// negatives. Returns the skip-gram loss contribution.
-  double UpdatePair(roadnet::EdgeId center, roadnet::EdgeId context,
-                    double lr);
+  /// negatives.
+  void UpdatePair(roadnet::EdgeId center, roadnet::EdgeId context, double lr);
 
   /// Auxiliary step: nudge the center vector toward predicting its road
   /// class (3-way softmax).
@@ -64,6 +63,7 @@ class SkipGramTrainer {
   nn::Matrix in_;    // NumEdges x dim
   nn::Matrix out_;   // NumEdges x dim
   nn::Matrix aux_w_; // 3 x dim road-class head
+  std::vector<float> grad_in_;  // UpdatePair's center-gradient scratch
   std::vector<double> unigram_;  // negative-sampling distribution (pow 0.75)
   /// O(log n) negative sampler over unigram_, rebuilt by Train after
   /// BuildCorpus; bit-identical to rng_.Categorical(unigram_).

@@ -8,12 +8,11 @@ namespace {
 
 constexpr char kMagic[4] = {'R', 'L', 'T', 'F'};
 
-void WriteTensorPayload(const std::string& name, const nn::Matrix& m,
-                        BinaryWriter* w) {
+void WriteTensorHeader(const std::string& name, size_t rows, size_t cols,
+                       BinaryWriter* w) {
   w->WriteString(name);
-  w->WriteU64(m.rows());
-  w->WriteU64(m.cols());
-  for (size_t i = 0; i < m.size(); ++i) w->WriteF32(m.data()[i]);
+  w->WriteU64(rows);
+  w->WriteU64(cols);
 }
 
 Status CheckMagicAndVersion(BinaryReader* r) {
@@ -37,8 +36,15 @@ void WriteRegistry(const nn::ParameterRegistry& registry, BinaryWriter* w) {
   w->WriteBytes(kMagic, 4);
   w->WriteU32(kTensorFormatVersion);
   w->WriteU32(static_cast<uint32_t>(registry.params().size()));
+  // Tensors are written in logical shape and row-major order, whatever
+  // their storage layout.
   for (const nn::Parameter* p : registry.params()) {
-    WriteTensorPayload(p->name, p->value, w);
+    WriteTensorHeader(p->name, p->rows(), p->cols(), w);
+    for (size_t row = 0; row < p->rows(); ++row) {
+      for (size_t col = 0; col < p->cols(); ++col) {
+        w->WriteF32(p->value.data()[p->Offset(row, col)]);
+      }
+    }
   }
 }
 
@@ -71,21 +77,17 @@ Status ReadRegistry(BinaryReader* r, nn::ParameterRegistry* registry) {
       return Status::IOError("checkpoint tensor not in model: " + name);
     }
     nn::Parameter* p = it->second;
-    nn::Matrix& dst = p->value;
-    if (dst.rows() != rows || dst.cols() != cols) {
+    if (p->rows() != rows || p->cols() != cols) {
       return Status::IOError(
           "shape mismatch for " + name + ": checkpoint " +
           std::to_string(rows) + "x" + std::to_string(cols) + ", model " +
-          std::to_string(dst.rows()) + "x" + std::to_string(dst.cols()));
+          std::to_string(p->rows()) + "x" + std::to_string(p->cols()));
     }
-    Status st;
-    for (size_t k = 0; k < dst.size() && st.ok(); ++k) {
-      st = r->ReadF32(&dst.data()[k]);
+    for (size_t row = 0; row < rows; ++row) {
+      for (size_t col = 0; col < cols; ++col) {
+        RL4_RETURN_NOT_OK(r->ReadF32(&p->value.data()[p->Offset(row, col)]));
+      }
     }
-    // Resync even after a short read: the tensor is partly overwritten
-    // either way, and the mirror must match whatever `value` now holds.
-    p->SyncKMajor();
-    RL4_RETURN_NOT_OK(st);
     by_name.erase(it);
   }
   // count == by_name initial size and each hit erased one entry, so an empty
@@ -113,7 +115,8 @@ void WriteMatrix(const nn::Matrix& m, BinaryWriter* w) {
   w->WriteBytes(kMagic, 4);
   w->WriteU32(kTensorFormatVersion);
   w->WriteU32(1);
-  WriteTensorPayload("matrix", m, w);
+  WriteTensorHeader("matrix", m.rows(), m.cols(), w);
+  for (size_t i = 0; i < m.size(); ++i) w->WriteF32(m.data()[i]);
 }
 
 Status ReadMatrix(BinaryReader* r, nn::Matrix* m) {

@@ -16,6 +16,17 @@ void ActivateGates(float* g, size_t H) {
   for (size_t i = 3 * H; i < 4 * H; ++i) g[i] = Sigmoid(g[i]);
 }
 
+/// dst = src^T. Writes dst row by row: scattering writes down dst's
+/// columns instead runs ~5x slower at the 64-wide gate weights, whose
+/// 1 KiB row stride maps a column onto a few cache sets.
+void Transpose(const Matrix& src, Matrix* dst) {
+  dst->EnsureShape(src.cols(), src.rows());
+  for (size_t c = 0; c < src.cols(); ++c) {
+    float* row = dst->Row(c);
+    for (size_t r = 0; r < src.rows(); ++r) row[r] = src(r, c);
+  }
+}
+
 void CheckStateSize(const LstmState& s, size_t b, size_t hidden) {
   RL4_CHECK(s.h.size() == hidden && s.c.size() == hidden)
       << "LSTM state of stream " << b << " has h/c lengths " << s.h.size()
@@ -51,11 +62,9 @@ Lstm::Lstm(std::string name, size_t input_dim, size_t hidden_dim,
            rl4oasd::Rng* rng)
     : input_dim_(input_dim),
       hidden_dim_(hidden_dim),
-      wx_(name + ".wx", 4 * hidden_dim, input_dim),
-      wh_(name + ".wh", 4 * hidden_dim, hidden_dim),
+      wx_(name + ".wx", 4 * hidden_dim, input_dim, /*kmajor=*/true),
+      wh_(name + ".wh", 4 * hidden_dim, hidden_dim, /*kmajor=*/true),
       b_(name + ".b", 1, 4 * hidden_dim) {
-  wx_.EnableKMajorMirror();
-  wh_.EnableKMajorMirror();
   wx_.XavierInit(rng);
   wh_.XavierInit(rng);
   // Forget-gate bias of 1.0 is the standard trick for gradient flow early in
@@ -78,9 +87,9 @@ void Lstm::StepForwardBatch(const Matrix& x, LstmBatchState* state) const {
   // activations. Thread-local scratch: fully overwritten every call
   // (MatMul resizes), so steady-state waves do no allocation.
   static thread_local Matrix gates;  // B x 4H
-  MatMul(x, wx_.KMajor(), &gates);
+  MatMul(x, wx_.value, &gates);
   AddBiasPerColumn(&gates, b_.value.Row(0));
-  MatMulAccum(state->h, wh_.KMajor(), &gates);
+  MatMulAccum(state->h, wh_.value, &gates);
   for (size_t b = 0; b < B; ++b) {
     float* g = gates.Row(b);
     ActivateGates(g, H);
@@ -114,9 +123,8 @@ std::vector<LstmStepCache> Lstm::Forward(
   for (size_t t = 0; t < T; ++t) {
     std::copy(inputs[t], inputs[t] + I, xs.Row(t));
   }
-  MatMul(xs, wx_.KMajor(), &gates);
+  MatMul(xs, wx_.value, &gates);
   AddBiasPerColumn(&gates, b_.value.Row(0));
-  const Matrix& wh_t = wh_.KMajor();
   const Vec zero(H, 0.0f);
   for (size_t t = 0; t < T; ++t) {
     LstmStepCache& cache = caches[t];
@@ -125,7 +133,7 @@ std::vector<LstmStepCache> Lstm::Forward(
     // on its own and added once — the association StepForwardBatch uses.
     const Vec& h_prev = t == 0 ? zero : caches[t - 1].h;
     float* row = gates.Row(t);
-    Gemm(h_prev.data(), 1, H, H, wh_t.data(), 4 * H, 4 * H, row, 4 * H,
+    Gemm(h_prev.data(), 1, H, H, wh_.value.data(), 4 * H, 4 * H, row, 4 * H,
          /*accumulate=*/true);
     cache.gates.assign(row, row + 4 * H);
     ActivateGates(cache.gates.data(), H);
@@ -178,23 +186,19 @@ void Lstm::Backward(const std::vector<LstmStepCache>& caches,
       d_gates[3 * H + i] = dout * og[i] * (1.0f - og[i]);
       dc_next[i] = dc * fg[i];
     }
-    // Parameter gradients.
-    OuterAccum(&wx_.grad, d_gates.data(), cache.x.data());
-    const float* h_prev =
-        (t == 0) ? nullptr : caches[t - 1].h.data();
-    if (h_prev != nullptr) {
-      OuterAccum(&wh_.grad, d_gates.data(), h_prev);
-    }
+    // Parameter gradients, in the stored k-major form: dWx^T += x d_gates^T
+    // and dWh^T += h_prev d_gates^T.
+    OuterAccum(&wx_.grad, cache.x.data(), d_gates.data());
+    if (t > 0) OuterAccum(&wh_.grad, caches[t - 1].h.data(), d_gates.data());
     float* db = b_.grad.Row(0);
     for (size_t i = 0; i < 4 * H; ++i) db[i] += d_gates[i];
-    // Input gradient.
-    if (d_x != nullptr) {
-      MatTransVecAccum(wx_.value, d_gates.data(), (*d_x)[t].data());
-    }
-    // Recurrent hidden gradient for step t-1.
-    std::fill(dh_next.begin(), dh_next.end(), 0.0f);
+    // Input gradient d_x = Wx^T d_gates.
+    if (d_x != nullptr) MatVec(wx_.value, d_gates.data(), (*d_x)[t].data());
+    // Recurrent hidden gradient for step t-1: dh = Wh^T d_gates.
     if (t > 0) {
-      MatTransVecAccum(wh_.value, d_gates.data(), dh_next.data());
+      MatVec(wh_.value, d_gates.data(), dh_next.data());
+    } else {
+      std::fill(dh_next.begin(), dh_next.end(), 0.0f);
     }
   }
 }
@@ -219,23 +223,29 @@ void Lstm::BackwardSeq(const std::vector<LstmStepCache>& caches,
     sink->TouchAll(&b_);
   }
 
-  // Timestep-packed gradient matrices. dg holds the pre-activation gate
-  // gradients twice: column j = T-1-t of the (4H x T) layout drives the
-  // weight-gradient GEMMs — ascending k there replays the per-step
-  // backward's descending-t accumulation order, so (from zeroed gradient
-  // buffers) every weight-gradient element is the exact same product
-  // chain — and row t of the (T x 4H) layout drives the input-gradient
-  // GEMM, whose ascending-k chain is MatTransVecAccum's ascending-row
-  // order. Thread-local scratch: fully rewritten, steady state allocates
-  // nothing.
-  static thread_local Matrix dg;       // 4H x T, column j <-> t = T-1-j
-  static thread_local Matrix dg_t;     // T x 4H, row t
-  static thread_local Matrix x_rev;    // T x I, row j <-> x at t = T-1-j
-  static thread_local Matrix h_prev_rev;  // (T-1) x H, row j <-> h_{T-2-j}
-  dg.EnsureShape(4 * H, T);
-  dg_t.EnsureShape(T, 4 * H);
-  x_rev.EnsureShape(T, I);
-  if (T > 1) h_prev_rev.EnsureShape(T - 1, H);
+  // Timestep-packed matrices in reversed time (j <-> step t = T-1-j), so
+  // the ascending-k chains of the weight-gradient GEMMs replay the per-step
+  // backward's descending-t accumulation order: from zeroed gradient
+  // buffers every weight-gradient element is the same product chain. Those
+  // GEMMs run in the weights' stored k-major form, dW^T += X^T DG, with the
+  // 4H gate gradients as the contiguous axis. The input and dh products
+  // multiply by Wx^T and Wh^T, which want the weights row-major: they read
+  // copies packed once per call (weights are read-only during backward, so
+  // a pack cannot go stale), each element one ascending chain over the 4H
+  // gates as in Backward. Thread-local scratch: fully rewritten, steady
+  // state allocates nothing.
+  static thread_local Matrix dg_rev;   // T x 4H, row j
+  static thread_local Matrix x_cols;   // I x T, column j <-> x_t
+  static thread_local Matrix h_cols;   // H x (T-1), column j <-> h_{t-1}
+  static thread_local Matrix wx_rows;  // 4H x I
+  static thread_local Matrix wh_rows;  // 4H x H
+  dg_rev.EnsureShape(T, 4 * H);
+  x_cols.EnsureShape(I, T);
+  if (d_x != nullptr) Transpose(wx_.value, &wx_rows);
+  if (T > 1) {
+    h_cols.EnsureShape(H, T - 1);
+    Transpose(wh_.value, &wh_rows);
+  }
 
   // The gate-gradient recursion is inherently sequential (dh/dc of step t
   // feed step t-1) and runs exactly the per-step code; only the parameter
@@ -245,7 +255,7 @@ void Lstm::BackwardSeq(const std::vector<LstmStepCache>& caches,
   for (size_t t = T; t-- > 0;) {
     const LstmStepCache& cache = caches[t];
     const size_t j = T - 1 - t;
-    float* d_gates = dg_t.Row(t);
+    float* d_gates = dg_rev.Row(j);
     const float* ig = cache.gates.data();
     const float* fg = cache.gates.data() + H;
     const float* gg = cache.gates.data() + 2 * H;
@@ -265,15 +275,11 @@ void Lstm::BackwardSeq(const std::vector<LstmStepCache>& caches,
       d_gates[3 * H + i] = dout * og[i] * (1.0f - og[i]);
       dc_next[i] = dc * fg[i];
     }
-    // Scatter into the reversed-time layouts for the post-loop GEMMs.
-    {
-      float* col = dg.data() + j;
-      for (size_t r = 0; r < 4 * H; ++r) col[r * T] = d_gates[r];
-    }
-    std::copy(cache.x.begin(), cache.x.end(), x_rev.Row(j));
+    // Scatter the GEMM operands into their reversed-time columns.
+    for (size_t c = 0; c < I; ++c) x_cols(c, j) = cache.x[c];
     if (t > 0) {
       const Vec& hp = caches[t - 1].h;
-      std::copy(hp.begin(), hp.end(), h_prev_rev.Row(j));
+      for (size_t c = 0; c < H; ++c) h_cols(c, j) = hp[c];
     }
     // Bias gradient: element-wise accumulation in the per-step order.
     float* db = b_g->Row(0);
@@ -281,23 +287,25 @@ void Lstm::BackwardSeq(const std::vector<LstmStepCache>& caches,
     // Recurrent hidden gradient for step t-1 (same per-step matvec).
     std::fill(dh_next.begin(), dh_next.end(), 0.0f);
     if (t > 0) {
-      MatTransVecAccum(wh_.value, d_gates, dh_next.data());
+      MatTransVecAccum(wh_rows, d_gates, dh_next.data());
     }
   }
 
-  // dWx += DG * X^T and dWh += DG[:, :T-1] * Hprev^T as single GEMMs.
-  Gemm(dg.data(), 4 * H, T, T, x_rev.data(), I, I, wx_g->data(), I,
-       /*accumulate=*/true);
+  // dWx^T += X^T DG and dWh^T += Hprev^T DG[:T-1] as single GEMMs.
+  Gemm(x_cols.data(), I, T, T, dg_rev.data(), 4 * H, 4 * H, wx_g->data(),
+       4 * H, /*accumulate=*/true);
   if (T > 1) {
-    Gemm(dg.data(), 4 * H, T - 1, T, h_prev_rev.data(), H, H, wh_g->data(),
-         H, /*accumulate=*/true);
+    Gemm(h_cols.data(), H, T - 1, T - 1, dg_rev.data(), 4 * H, 4 * H,
+         wh_g->data(), 4 * H, /*accumulate=*/true);
   }
-  // d_x = DG_t * Wx in one GEMM (rows are independent chains, so forward
-  // row order is fine).
+  // d_x = DG Wx, row t from DG's reversed row T-1-t (rows are independent
+  // chains, so one GEMM per row is the same arithmetic as one for all).
   if (d_x != nullptr) {
     d_x->EnsureShape(T, I);
-    Gemm(dg_t.data(), T, 4 * H, 4 * H, wx_.value.data(), I, I, d_x->data(),
-         I, /*accumulate=*/false);
+    for (size_t t = 0; t < T; ++t) {
+      Gemm(dg_rev.Row(T - 1 - t), 1, 4 * H, 4 * H, wx_rows.data(), I, I,
+           d_x->Row(t), I, /*accumulate=*/false);
+    }
   }
 }
 

@@ -8,10 +8,11 @@
 //
 // Both forwards are batch-major: row b of an input or state matrix is one
 // sample, and the gate pre-activations are (B x 4H) = X (B x I) * Wx^T
-// (I x 4H) + H (B x H) * Wh^T (H x 4H). The transposed weights are the
-// parameters' k-major mirrors (Parameter::KMajor), so the 4H gate outputs
-// are the GEMM's contiguous, vectorized axis at every width, B = 1
+// (I x 4H) + H (B x H) * Wh^T (H x 4H). The gate weights are stored k-major
+// (Parameter::k_major: value is Wx^T / Wh^T, the only copy), so the 4H gate
+// outputs are the GEMM's contiguous, vectorized axis at every width, B = 1
 // included; each gate element is still one ascending-k product chain.
+// Bundles and checkpoints hold the logical (4H x I) / (4H x H) tensors.
 #pragma once
 
 #include <span>
@@ -93,17 +94,19 @@ class Lstm {
   /// Per-step reference BPTT. `d_h` holds the gradient flowing into each
   /// step's hidden output (same length as caches). Parameter gradients are
   /// accumulated; if `d_x` is non-null it receives per-step input gradients
-  /// (resized internally). Kept as the plainly-auditable reference that
-  /// BackwardSeq is tested against — production training uses BackwardSeq.
+  /// (resized internally). Only tests call it: it is the plainly auditable
+  /// reference nn_bptt_test holds BackwardSeq to, and every training path
+  /// uses BackwardSeq.
   void Backward(const std::vector<LstmStepCache>& caches,
                 const std::vector<Vec>& d_h, std::vector<Vec>* d_x);
 
   /// GEMM-backed BPTT. `d_h` is (T x H) with row t the gradient into step
   /// t's hidden output; `d_x` (optional) is resized to (T x input_dim).
   /// The per-step gate-gradient recursion stays sequential, but the weight
-  /// gradients become two GEMMs over timestep-packed matrices (reversed-
-  /// time columns, so each product chain replays the per-step accumulation
-  /// order) and the input gradients one more. Starting from zeroed
+  /// gradients become two GEMMs over timestep-packed matrices (reversed
+  /// time, so each product chain replays the per-step accumulation order);
+  /// the input gradients and the dh recursion multiply by row-major copies
+  /// of the weights packed once per call. Starting from zeroed
   /// gradient buffers this is bit-identical to Backward; `sink` (optional)
   /// redirects every parameter gradient into worker-local buffers, which
   /// makes concurrent calls on one Lstm safe (weights are only read).
@@ -120,8 +123,8 @@ class Lstm {
  private:
   size_t input_dim_;
   size_t hidden_dim_;
-  Parameter wx_;  // 4H x input_dim, k-major mirrored
-  Parameter wh_;  // 4H x hidden_dim, k-major mirrored
+  Parameter wx_;  // 4H x input_dim, stored k-major
+  Parameter wh_;  // 4H x hidden_dim, stored k-major
   Parameter b_;   // 1 x 4H
 };
 

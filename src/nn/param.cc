@@ -4,52 +4,32 @@
 
 namespace rl4oasd::nn {
 
-void Parameter::SyncKMajor() {
-  if (!k_major) return;
-  const size_t rows = value.rows();
-  const size_t cols = value.cols();
-  value_t.EnsureShape(cols, rows);
-  for (size_t r = 0; r < rows; ++r) {
-    const float* src = value.Row(r);
-    float* dst = value_t.data() + r;
-    for (size_t c = 0; c < cols; ++c) dst[c * rows] = src[c];
+namespace {
+
+/// Assigns draw i to logical element (i / cols, i % cols), whatever the
+/// storage layout, so a parameter's initial values do not depend on it.
+template <typename Draw>
+void FillLogical(Parameter* p, Draw&& draw) {
+  for (size_t r = 0; r < p->rows(); ++r) {
+    for (size_t c = 0; c < p->cols(); ++c) {
+      p->value.data()[p->Offset(r, c)] = draw();
+    }
   }
 }
 
-void Parameter::CheckKMajorFresh() const {
-  RL4_CHECK(k_major) << name << " has no k-major mirror";
-  const size_t rows = value.rows();
-  RL4_CHECK(value_t.rows() == value.cols() && value_t.cols() == rows)
-      << "k-major mirror of " << name << " has the wrong shape";
-  if (rows == 0) return;
-  // One rotating row per call: a weight written without a resync is caught
-  // within `rows` reads, at O(cols) per read. Compared as bits, so a NaN
-  // weight is fresh when its mirror holds the same NaN.
-  static thread_local size_t probe = 0;
-  const size_t r = probe++ % rows;
-  const float* src = value.Row(r);
-  for (size_t c = 0; c < value.cols(); ++c) {
-    RL4_CHECK(std::bit_cast<uint32_t>(src[c]) ==
-              std::bit_cast<uint32_t>(value_t(c, r)))
-        << "stale k-major mirror of " << name << ": value(" << r << ", " << c
-        << ") was written without SyncKMajor()";
-  }
-}
+}  // namespace
 
 void Parameter::XavierInit(rl4oasd::Rng* rng) {
-  const float limit =
-      std::sqrt(6.0f / static_cast<float>(value.rows() + value.cols()));
-  for (size_t i = 0; i < value.size(); ++i) {
-    value.data()[i] = static_cast<float>(rng->Uniform(-limit, limit));
-  }
-  SyncKMajor();
+  const float limit = std::sqrt(6.0f / static_cast<float>(rows() + cols()));
+  FillLogical(this, [&] {
+    return static_cast<float>(rng->Uniform(-limit, limit));
+  });
 }
 
 void Parameter::UniformInit(rl4oasd::Rng* rng, float scale) {
-  for (size_t i = 0; i < value.size(); ++i) {
-    value.data()[i] = static_cast<float>(rng->Uniform(-scale, scale));
-  }
-  SyncKMajor();
+  FillLogical(this, [&] {
+    return static_cast<float>(rng->Uniform(-scale, scale));
+  });
 }
 
 GradientSink::GradientSink(const ParameterRegistry& registry) {
@@ -143,7 +123,8 @@ float ParameterRegistry::ClipGradNorm(float max_norm) {
   // rows are exactly zero, and zero squares are +0 terms that cannot move
   // the (non-negative) running sum, so the result is bit-identical to the
   // full walk — the bitmap iterates ascending, preserving the order of the
-  // nonzero terms.
+  // nonzero terms. Dense parameters sum in logical order, so the norm does
+  // not depend on a parameter's storage layout.
   for (auto* p : params_) {
     if (p->row_sparse) {
       const size_t cols = p->grad.cols();
@@ -153,7 +134,12 @@ float ParameterRegistry::ClipGradNorm(float max_norm) {
       });
     } else {
       const float* g = p->grad.data();
-      for (size_t i = 0; i < p->grad.size(); ++i) sq += double(g[i]) * g[i];
+      for (size_t r = 0; r < p->rows(); ++r) {
+        for (size_t c = 0; c < p->cols(); ++c) {
+          const float gi = g[p->Offset(r, c)];
+          sq += double(gi) * gi;
+        }
+      }
     }
   }
   const float norm = static_cast<float>(std::sqrt(sq));

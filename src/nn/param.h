@@ -48,40 +48,30 @@ struct Parameter {
   bool row_sparse = false;
   std::vector<uint64_t> touched_bits;  // ceil(rows/64) words, row bitmap
 
-  /// k-major mirror, opted into by layers that multiply batch-major
-  /// activations by value^T (the LSTM gate weights): `value_t` is `value`
-  /// transposed (cols x rows), so the gate outputs are the contiguous axis
-  /// the GEMM vectorizes over. The contract: whoever writes `value` calls
-  /// SyncKMajor() before the next read of the mirror. Every in-library
-  /// writer does (XavierInit/UniformInit, the optimizers' Step, checkpoint
-  /// and bundle loads), on the thread that wrote `value`, so the mirror
-  /// needs no synchronization of its own; code that writes `value`
-  /// directly (a test perturbing a weight) must resync itself. Debug
-  /// builds check the mirror against `value` on every KMajor() read.
+  /// Storage layout. Row-major by default: value(r, c) is logical element
+  /// (r, c). A k-major parameter (the LSTM gate weights, which multiply
+  /// batch-major activations by value^T) stores the transpose instead:
+  /// `value` and `grad` are (cols x rows), so the gate outputs are the
+  /// contiguous axis the GEMM vectorizes over. Element-wise code (the
+  /// optimizers, ZeroGrad, gradient sinks) is layout-blind; the places
+  /// whose result depends on element order (io, XavierInit/UniformInit,
+  /// the ClipGradNorm sum) walk logical order through Offset().
   bool k_major = false;
-  Matrix value_t;
 
   Parameter() = default;
-  Parameter(std::string n, size_t rows, size_t cols)
-      : name(std::move(n)), value(rows, cols), grad(rows, cols) {}
+  Parameter(std::string n, size_t rows, size_t cols, bool kmajor = false)
+      : name(std::move(n)),
+        value(kmajor ? cols : rows, kmajor ? rows : cols),
+        grad(kmajor ? cols : rows, kmajor ? rows : cols),
+        k_major(kmajor) {}
 
-  /// Turns on the k-major mirror and fills it from `value`.
-  void EnableKMajorMirror() {
-    k_major = true;
-    SyncKMajor();
-  }
+  /// Logical shape (what io reads and writes).
+  size_t rows() const { return k_major ? value.cols() : value.rows(); }
+  size_t cols() const { return k_major ? value.rows() : value.cols(); }
 
-  /// Rewrites the mirror from `value` (no-op without the mirror).
-  void SyncKMajor();
-
-  /// The mirror, for readers. Debug builds compare one rotating row of
-  /// `value` with its mirror column per call (O(cols), so checked runs stay
-  /// fast) and abort on a stale mirror.
-  const Matrix& KMajor() const {
-#ifndef NDEBUG
-    CheckKMajorFresh();
-#endif
-    return value_t;
+  /// Position of logical element (r, c) in value.data() and grad.data().
+  size_t Offset(size_t r, size_t c) const {
+    return k_major ? c * value.cols() + r : r * value.cols() + c;
   }
 
   /// Turns on row-sparse tracking (call once, before any grad writes).
@@ -113,9 +103,6 @@ struct Parameter {
 
   /// U(-scale, scale) initialization (used for embedding tables).
   void UniformInit(rl4oasd::Rng* rng, float scale);
-
- private:
-  void CheckKMajorFresh() const;
 };
 
 /// Non-owning collection of parameters belonging to one model.

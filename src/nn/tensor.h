@@ -2,7 +2,7 @@
 // networks need: matrix-vector products and elementwise ops for the
 // training-side single-sample paths, and a blocked GEMM for the batched
 // paths. The LSTM stacks B >= 1 samples as rows, so its gate matmuls are one
-// (B x I) * (I x 4H) product against a k-major weight mirror; the Linear
+// (B x I) * (I x 4H) product against weights stored k-major; the Linear
 // heads stack samples as columns, (out x in) * (in x B).
 #pragma once
 

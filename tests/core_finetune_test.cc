@@ -122,23 +122,6 @@ TEST_F(FineTuneTest, MaxSamplesTruncatesTrainingButNotStatisticsIngest) {
   EXPECT_NE(io::ModelFingerprint(*trained), io::ModelFingerprint(*truncated));
 }
 
-// FineTune moves the RSRNet weights through its optimizer, which refreshes
-// the LSTM's k-major weight mirrors: they equal value^T bit for bit after
-// the clone (a bundle round trip) and after the fine-tune.
-TEST_F(FineTuneTest, FineTuneRefreshesKMajorMirrors) {
-  auto clone = Clone();
-  nn::ParameterRegistry* reg = clone->mutable_rsrnet()->registry();
-  size_t mirrored = 0;
-  EXPECT_TRUE(testing::StaleKMajorMirrors(*reg, &mirrored).empty())
-      << "after the clone";
-  EXPECT_EQ(mirrored, 2u);
-  const uint64_t before = io::ModelFingerprint(*clone);
-  clone->FineTune(*fresh_, 20);
-  EXPECT_NE(io::ModelFingerprint(*clone), before);
-  EXPECT_TRUE(testing::StaleKMajorMirrors(*reg, &mirrored).empty())
-      << "after FineTune";
-}
-
 TEST_F(FineTuneTest, FineTuneBumpsStatsGenerationPerIngestedTrajectory) {
   auto clone = Clone();
   const uint64_t before = clone->preprocessor().stats_generation();

@@ -18,6 +18,34 @@ RsrNetConfig TinyConfig(size_t num_edges) {
   return cfg;
 }
 
+/// The small config whose registry layout and weights the pins below fix.
+RsrNetConfig PinnedConfig() {
+  RsrNetConfig cfg = TinyConfig(20);
+  cfg.embed_dim = 6;
+  cfg.nrf_dim = 4;
+  cfg.hidden_dim = 5;
+  return cfg;
+}
+
+/// FNV-1a over the bytes of every parameter's values, each tensor in
+/// logical row-major order (the order bundles store), whatever its storage
+/// layout.
+uint64_t HashLogicalValues(const nn::ParameterRegistry& registry) {
+  uint64_t hash = 14695981039346656037ULL;
+  for (const nn::Parameter* p : registry.params()) {
+    for (size_t r = 0; r < p->rows(); ++r) {
+      for (size_t c = 0; c < p->cols(); ++c) {
+        const float v = p->value.data()[p->Offset(r, c)];
+        const auto* bytes = reinterpret_cast<const unsigned char*>(&v);
+        for (size_t i = 0; i < sizeof(float); ++i) {
+          hash = (hash ^ bytes[i]) * 1099511628211ULL;
+        }
+      }
+    }
+  }
+  return hash;
+}
+
 TEST(RsrNetTest, ForwardShapes) {
   RsrNet net(TinyConfig(20));
   const std::vector<traj::EdgeId> edges = {1, 2, 3, 4, 5};
@@ -134,12 +162,9 @@ TEST(RsrNetTest, RegistryLayoutAndInitIsPinned) {
   // order, and the golden regression depends on the construction-time RNG
   // draws. Pinning names, shapes, order and a hash of the initial weights
   // shows that a bundle saved by an earlier build still loads into the
-  // same tensors with the same values.
-  RsrNetConfig cfg = TinyConfig(20);
-  cfg.embed_dim = 6;
-  cfg.nrf_dim = 4;
-  cfg.hidden_dim = 5;
-  RsrNet net(cfg);
+  // same tensors with the same values. Shapes are logical (the LSTM gate
+  // weights are stored transposed).
+  RsrNet net(PinnedConfig());
   struct Expected {
     const char* name;
     size_t rows;
@@ -156,18 +181,27 @@ TEST(RsrNetTest, RegistryLayoutAndInitIsPinned) {
   };
   const auto& params = net.registry()->params();
   ASSERT_EQ(params.size(), std::size(expected));
-  uint64_t hash = 14695981039346656037ULL;  // FNV-1a over the value bytes
   for (size_t k = 0; k < params.size(); ++k) {
     EXPECT_EQ(params[k]->name, expected[k].name);
-    EXPECT_EQ(params[k]->value.rows(), expected[k].rows) << expected[k].name;
-    EXPECT_EQ(params[k]->value.cols(), expected[k].cols) << expected[k].name;
-    const auto* bytes =
-        reinterpret_cast<const unsigned char*>(params[k]->value.data());
-    for (size_t i = 0; i < params[k]->value.size() * sizeof(float); ++i) {
-      hash = (hash ^ bytes[i]) * 1099511628211ULL;
-    }
+    EXPECT_EQ(params[k]->rows(), expected[k].rows) << expected[k].name;
+    EXPECT_EQ(params[k]->cols(), expected[k].cols) << expected[k].name;
   }
-  EXPECT_EQ(hash, 0x8a4087378abb8d95ULL);
+  EXPECT_EQ(HashLogicalValues(*net.registry()), 0x8a4087378abb8d95ULL);
+}
+
+TEST(RsrNetTest, OneTrainStepIsPinned) {
+  // One TrainStep from the pinned init runs BPTT, the clip-norm sum (a tiny
+  // clip threshold makes it rescale every gradient) and an Adam step. The
+  // resulting weights, hashed in logical order, must not depend on how the
+  // parameters are stored.
+  RsrNetConfig cfg = PinnedConfig();
+  cfg.grad_clip = 1e-3f;
+  RsrNet net(cfg);
+  const std::vector<traj::EdgeId> edges = {3, 7, 8, 12, 15, 16, 19, 2};
+  const std::vector<uint8_t> nrf = {0, 0, 1, 1, 1, 0, 0, 0};
+  const std::vector<uint8_t> labels = {0, 0, 1, 1, 1, 1, 0, 0};
+  net.TrainStep(edges, nrf, labels);
+  EXPECT_EQ(HashLogicalValues(*net.registry()), 0xf6a14df44116a69bULL);
 }
 
 }  // namespace

@@ -4,10 +4,11 @@
 // zeroed gradient buffers, BackwardSeq must reproduce Backward exactly —
 // not within a tolerance — because the golden end-to-end regression pins
 // trained-model outputs across this refactor. The GEMM packing earns this
-// by replaying the per-step accumulation order: weight-gradient matrices
-// pack timesteps as reversed-time columns (ascending-k in nn::Gemm ==
-// descending-t in the per-step loop), input gradients as forward-order
-// rows, and biases accumulate element-wise in loop order.
+// by replaying the per-step accumulation order: the weight-gradient GEMMs
+// pack timesteps in reversed time (ascending-k in nn::Gemm == descending-t
+// in the per-step loop), each input-gradient element is one ascending chain
+// over the 4H gates, and biases accumulate element-wise in loop order. Both
+// backwards write the gate-weight gradients in the stored k-major layout.
 //
 // The worker-local GradientSink path is also exact here (sink buffers
 // start zeroed and fold back with one add per element); the documented

@@ -12,7 +12,6 @@
 #include "nn/linear.h"
 #include "nn/lstm.h"
 #include "nn/tensor.h"
-#include "test_util.h"
 
 namespace rl4oasd::nn {
 namespace {
@@ -196,20 +195,15 @@ TEST(LstmGradientCheck, ParametersAndInputs) {
   lstm.Backward(caches, d_h, &d_x);
 
   // Spot-check several parameter coordinates across all three tensors.
-  // Each direct write of a weight resyncs its k-major mirror, which the
-  // forward reads.
   for (Parameter* p : reg.params()) {
     for (size_t k = 0; k < p->value.size(); k += p->value.size() / 5 + 1) {
       float* w = p->value.data();
       const float orig = w[k];
       w[k] = orig + kFdEps;
-      p->SyncKMajor();
       const float up = loss();
       w[k] = orig - kFdEps;
-      p->SyncKMajor();
       const float down = loss();
       w[k] = orig;
-      p->SyncKMajor();
       const float fd = (up - down) / (2 * kFdEps);
       EXPECT_NEAR(p->grad.data()[k], fd,
                   kFdTol * std::max(1.0f, std::abs(fd)))
@@ -322,87 +316,40 @@ TEST(AdamTest, ConvergesOnQuadratic) {
   }
 }
 
-TEST(SgdTest, StepsDownhill) {
-  Parameter w("w", 1, 2);
-  w.value(0, 0) = 1.0f;
-  w.value(0, 1) = -1.0f;
-  ParameterRegistry reg;
-  reg.Register(&w);
-  SgdOptimizer opt(&reg, 0.1f);
-  w.grad(0, 0) = 1.0f;
-  w.grad(0, 1) = -1.0f;
-  opt.Step();
-  EXPECT_FLOAT_EQ(w.value(0, 0), 0.9f);
-  EXPECT_FLOAT_EQ(w.value(0, 1), -0.9f);
-}
-
-// The LSTM's gate weights carry k-major mirrors that every in-library
-// writer of `value` refreshes. Init, an Adam step and an SGD step each leave
-// every mirror equal to value^T bit for bit (the checkpoint and bundle
-// loads are checked in io_test, Rl4Oasd::FineTune in core_finetune_test).
-TEST(KMajorMirrorTest, InitAndOptimizerStepsRefreshTheMirror) {
-  Rng rng(41);
-  Lstm lstm("m", 5, 7, &rng);
-  ParameterRegistry reg;
-  lstm.RegisterParams(&reg);
-  size_t mirrored = 0;
-  EXPECT_TRUE(testing::StaleKMajorMirrors(reg, &mirrored).empty())
-      << "after XavierInit";
-  EXPECT_EQ(mirrored, 2u);  // wx and wh; the bias is not mirrored
-
-  Parameter table("t", 6, 3);
-  table.EnableKMajorMirror();
-  table.UniformInit(&rng, 0.5f);
-  ParameterRegistry one;
-  one.Register(&table);
-  EXPECT_TRUE(testing::StaleKMajorMirrors(one, &mirrored).empty())
-      << "after UniformInit";
-  EXPECT_EQ(mirrored, 1u);
-
-  auto random_grads = [&] {
-    for (Parameter* p : reg.params()) {
-      for (size_t i = 0; i < p->grad.size(); ++i) {
-        p->grad.data()[i] = static_cast<float>(rng.Uniform(-1, 1));
-      }
+// A k-major parameter stores the transpose of the row-major one, and the
+// order-sensitive walks see the same logical tensor: XavierInit gives draw i
+// to logical element (i / cols, i % cols), and the clip-norm sum runs in
+// logical order, so both layouts clip to the same bits.
+TEST(ParameterTest, KMajorStoresTheTransposeOfTheLogicalTensor) {
+  Parameter row_major("w", 3, 5);
+  Parameter k_major("w", 3, 5, /*kmajor=*/true);
+  Rng rng_a(11), rng_b(11);
+  row_major.XavierInit(&rng_a);
+  k_major.XavierInit(&rng_b);
+  EXPECT_EQ(k_major.rows(), 3u);
+  EXPECT_EQ(k_major.cols(), 5u);
+  ASSERT_EQ(k_major.value.rows(), 5u);
+  ASSERT_EQ(k_major.value.cols(), 3u);
+  Rng rng_g(12);
+  for (size_t r = 0; r < 3; ++r) {
+    for (size_t c = 0; c < 5; ++c) {
+      EXPECT_EQ(k_major.value(c, r), row_major.value(r, c));
+      EXPECT_EQ(k_major.value.data()[k_major.Offset(r, c)],
+                row_major.value.data()[row_major.Offset(r, c)]);
+      const float g = static_cast<float>(rng_g.Uniform(-3, 3));
+      row_major.grad(r, c) = g;
+      k_major.grad(c, r) = g;
     }
-  };
-  const Matrix wx_before = reg.params()[0]->value;
-  AdamOptimizer adam(&reg, {});
-  random_grads();
-  adam.Step();
-  EXPECT_NE(reg.params()[0]->value(0, 0), wx_before(0, 0));
-  EXPECT_TRUE(testing::StaleKMajorMirrors(reg, &mirrored).empty())
-      << "after an Adam step";
-
-  const Matrix wx_after_adam = reg.params()[0]->value;
-  SgdOptimizer sgd(&reg, 0.1f);
-  random_grads();
-  sgd.Step();
-  EXPECT_NE(reg.params()[0]->value(0, 0), wx_after_adam(0, 0));
-  EXPECT_TRUE(testing::StaleKMajorMirrors(reg, &mirrored).empty())
-      << "after an SGD step";
-}
-
-// A direct write of `value` without SyncKMajor() leaves the mirror stale;
-// Debug builds catch it on the next read of the mirror.
-TEST(KMajorMirrorDeathTest, StaleMirrorTripsTheFreshnessCheck) {
-#ifdef NDEBUG
-  GTEST_SKIP() << "the freshness check runs in Debug builds only";
-#else
-  Rng rng(43);
-  Lstm lstm("d", 3, 4, &rng);
-  ParameterRegistry reg;
-  lstm.RegisterParams(&reg);
-  const Vec x = {0.1f, -0.2f, 0.3f};
-  const std::vector<const float*> inputs = {x.data()};
-  // Every row changes, so whichever row the rotating probe picks is stale.
-  Parameter* wx = reg.params()[0];
-  for (size_t i = 0; i < wx->value.size(); ++i) wx->value.data()[i] += 1.0f;
-  EXPECT_DEATH(lstm.Forward(inputs), "stale k-major mirror of d.wx");
-  // The resync is all it takes.
-  wx->SyncKMajor();
-  EXPECT_EQ(lstm.Forward(inputs).size(), 1u);
-#endif
+  }
+  ParameterRegistry reg_a, reg_b;
+  reg_a.Register(&row_major);
+  reg_b.Register(&k_major);
+  EXPECT_EQ(reg_a.ClipGradNorm(0.5f), reg_b.ClipGradNorm(0.5f));
+  for (size_t r = 0; r < 3; ++r) {
+    for (size_t c = 0; c < 5; ++c) {
+      EXPECT_EQ(k_major.grad(c, r), row_major.grad(r, c));
+    }
+  }
 }
 
 TEST(AdamTest, LearningRateMutable) {

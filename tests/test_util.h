@@ -4,7 +4,6 @@
 // check for the parameters' k-major weight mirrors.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "common/binary.h"
-#include "nn/param.h"
 #include "roadnet/grid_city.h"
 #include "roadnet/road_network.h"
 #include "traj/dataset.h"
@@ -49,31 +47,6 @@ inline bool PatchPayloadWithValidCrc(const std::string& path, size_t offset,
   }
   WriteFileBytes(path, content);
   return true;
-}
-
-/// Names of the k-major-mirrored parameters of `registry` whose mirror is
-/// not value^T bit for bit (empty when every mirror is fresh). `*mirrored`
-/// receives the number of mirrored parameters, so a caller can tell "all
-/// fresh" from "none checked".
-inline std::vector<std::string> StaleKMajorMirrors(
-    const nn::ParameterRegistry& registry, size_t* mirrored) {
-  std::vector<std::string> stale;
-  *mirrored = 0;
-  for (const nn::Parameter* p : registry.params()) {
-    if (!p->k_major) continue;
-    ++*mirrored;
-    const nn::Matrix& v = p->value;
-    const nn::Matrix& t = p->value_t;
-    bool fresh = t.rows() == v.cols() && t.cols() == v.rows();
-    for (size_t r = 0; fresh && r < v.rows(); ++r) {
-      for (size_t c = 0; fresh && c < v.cols(); ++c) {
-        fresh = std::bit_cast<uint32_t>(v(r, c)) ==
-                std::bit_cast<uint32_t>(t(c, r));
-      }
-    }
-    if (!fresh) stale.push_back(p->name);
-  }
-  return stale;
 }
 
 /// A small synthetic city for fast tests (~380 directed edges).

@@ -110,9 +110,9 @@ class RL4OASD_SCOPED_CAPABILITY MutexLock {
   Mutex* const mu_;
 };
 
-/// Movable ownership of one Mutex, for *dynamic* lock sets — FeedBatch
-/// holds one per trip of a wave in a vector, released wholesale between
-/// waves. Deliberately unannotated: the static analysis cannot model a
+/// Movable ownership of one Mutex, for *dynamic* lock sets — FleetMonitor's
+/// wave step holds one per trip of a wave, released wholesale after the
+/// fused step. Deliberately unannotated: the static analysis cannot model a
 /// runtime-sized set of capabilities (that is what the debug address-order
 /// checker is for), so the functions that use UniqueLock opt out with a
 /// written rationale instead.

@@ -9,9 +9,11 @@
 
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/binary.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/asdnet.h"
@@ -182,6 +184,14 @@ class OnlineDetector {
     /// learning: a finished trip's (edges, final labels) pair is a fresh
     /// training sample.
     const std::vector<traj::EdgeId>& edges() const { return edges_; }
+
+    /// Moves the edge history out of a finished session whose owner hands
+    /// it on (serve::FleetMonitor's trip-finalized event); edges() is empty
+    /// afterwards.
+    std::vector<traj::EdgeId> TakeEdges() {
+      RL4_CHECK(finished_);
+      return std::move(edges_);
+    }
 
     traj::SdPair sd() const { return sd_; }
     double start_time() const { return start_time_; }

@@ -1,11 +1,21 @@
 #include "io/fleet_snapshot.h"
 
 #include <fstream>
+#include <limits>
+#include <string>
 #include <string_view>
 
 #include "common/binary.h"
 
 namespace rl4oasd::io {
+
+namespace {
+
+/// Minimum trip record: i64 vehicle (8) + f64 last_update (8) + u32 session
+/// blob length (4) + u32 guard blob length (4).
+constexpr size_t kMinTripRecordBytes = 24;
+
+}  // namespace
 
 Status ReadFleetSnapshotHeader(BinaryReader* r, FleetSnapshotHeader* header) {
   char magic[4];
@@ -24,32 +34,35 @@ Status ReadFleetSnapshotHeader(BinaryReader* r, FleetSnapshotHeader* header) {
   }
   RL4_RETURN_NOT_OK(r->ReadU64(&header->model_fingerprint));
   RL4_RETURN_NOT_OK(r->ReadString(&header->user_meta));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->trips_started));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->trips_finished));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->points_processed));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->alerts_emitted));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->trips_evicted));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->guard_duplicates));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->guard_out_of_order));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->guard_clock_skew));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->guard_dropout_gaps));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->guard_teleports));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->guard_invalid_edges));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->points_repaired));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->points_rejected));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->points_quarantine_dropped));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->trips_quarantined));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->trips_recovered));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->quarantine_evictions));
+  for (const FleetCounterField& f : kFleetCounterFields) {
+    RL4_RETURN_NOT_OK(r->ReadI64(&(header->*f.member)));
+    // A lying negative value would poison Stats() and the conservation
+    // identity forever.
+    if (header->*f.member < 0) {
+      return Status::InvalidArgument(
+          "snapshot service counter " + std::string(f.metric) +
+          " is negative (corrupt or forged header)");
+    }
+  }
+  // Restore derives trips_started = trips_finished + trips_evicted + live
+  // trips. The live-trip count is bounded by the remaining payload (see
+  // ReadFleetSnapshotTripCount), so bounding the sum here keeps that
+  // derivation inside int64 for every header this reader accepts.
+  const auto max_live =
+      static_cast<int64_t>(r->remaining() / kMinTripRecordBytes);
+  if (header->trips_finished >
+      std::numeric_limits<int64_t>::max() - max_live - header->trips_evicted) {
+    return Status::InvalidArgument(
+        "snapshot trip counters overflow the started-trip count (corrupt or "
+        "forged header)");
+  }
   return Status::OK();
 }
 
 Status ReadFleetSnapshotTripCount(BinaryReader* r, uint64_t* num_trips) {
   RL4_RETURN_NOT_OK(r->ReadU64(num_trips));
-  // Minimum record: i64 vehicle (8) + f64 last_update (8) + u32 session
-  // blob length (4) + u32 guard blob length (4). Division avoids
-  // overflowing the product for lying counts.
-  if (*num_trips > r->remaining() / 24) {
+  // Division avoids overflowing the product for lying counts.
+  if (*num_trips > r->remaining() / kMinTripRecordBytes) {
     return Status::OutOfRange("trip count exceeds remaining payload");
   }
   return Status::OK();
@@ -57,29 +70,9 @@ Status ReadFleetSnapshotTripCount(BinaryReader* r, uint64_t* num_trips) {
 
 Result<FleetSnapshotInfo> DescribeFleetSnapshot(const std::string& path) {
   RL4_ASSIGN_OR_RETURN(BinaryReader r, BinaryReader::OpenFile(path));
-  FleetSnapshotHeader header;
-  RL4_RETURN_NOT_OK(ReadFleetSnapshotHeader(&r, &header));
   FleetSnapshotInfo info;
+  RL4_RETURN_NOT_OK(ReadFleetSnapshotHeader(&r, &info));
   info.version = kFleetSnapshotVersion;
-  info.model_fingerprint = header.model_fingerprint;
-  info.user_meta = std::move(header.user_meta);
-  info.trips_started = header.trips_started;
-  info.trips_finished = header.trips_finished;
-  info.points_processed = header.points_processed;
-  info.alerts_emitted = header.alerts_emitted;
-  info.trips_evicted = header.trips_evicted;
-  info.guard_duplicates = header.guard_duplicates;
-  info.guard_out_of_order = header.guard_out_of_order;
-  info.guard_clock_skew = header.guard_clock_skew;
-  info.guard_dropout_gaps = header.guard_dropout_gaps;
-  info.guard_teleports = header.guard_teleports;
-  info.guard_invalid_edges = header.guard_invalid_edges;
-  info.points_repaired = header.points_repaired;
-  info.points_rejected = header.points_rejected;
-  info.points_quarantine_dropped = header.points_quarantine_dropped;
-  info.trips_quarantined = header.trips_quarantined;
-  info.trips_recovered = header.trips_recovered;
-  info.quarantine_evictions = header.quarantine_evictions;
 
   uint64_t num_trips;
   RL4_RETURN_NOT_OK(ReadFleetSnapshotTripCount(&r, &num_trips));

@@ -15,6 +15,26 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 constexpr size_t kDrainChunk = 64;
 }  // namespace
 
+void Deliver(AlertSink* sink, const DeliveryEvent& event) {
+  switch (event.kind) {
+    case DeliveryEvent::Kind::kAlert:
+      sink->OnAlert(event.alert);
+      break;
+    case DeliveryEvent::Kind::kTripEnd:
+      sink->OnTripEnd(event.vehicle_id, event.labels);
+      sink->OnTripFinalized(event.vehicle_id, event.sd, event.start_time,
+                            event.edges, event.labels);
+      break;
+    case DeliveryEvent::Kind::kTripEvicted:
+      sink->OnTripEvicted(event.vehicle_id, event.start_time, event.labels);
+      break;
+    case DeliveryEvent::Kind::kTripQuarantined:
+      sink->OnTripQuarantined(event.vehicle_id, event.start_time,
+                              event.malformed);
+      break;
+  }
+}
+
 AlertDeliveryQueue::AlertDeliveryQueue(AlertSink* sink, size_t capacity)
     : sink_(sink), capacity_(capacity == 0 ? 1 : capacity) {
   RL4_CHECK(sink != nullptr);
@@ -76,30 +96,6 @@ std::vector<int64_t> AlertDeliveryQueue::TakeLatencySamplesNs() {
   return out;
 }
 
-void AlertDeliveryQueue::Deliver(const DeliveryEvent& event) {
-  switch (event.kind) {
-    case DeliveryEvent::Kind::kAlert:
-      sink_->OnAlert(event.alert);
-      alerts_delivered_.fetch_add(1, kRelaxed);
-      break;
-    case DeliveryEvent::Kind::kTripEnd:
-      sink_->OnTripEnd(event.vehicle_id, event.labels);
-      break;
-    case DeliveryEvent::Kind::kTripEvicted:
-      sink_->OnTripEvicted(event.vehicle_id, event.start_time, event.labels);
-      break;
-    case DeliveryEvent::Kind::kTripFinalized:
-      sink_->OnTripFinalized(event.vehicle_id, event.sd, event.start_time,
-                             event.edges, event.labels);
-      break;
-    case DeliveryEvent::Kind::kTripQuarantined:
-      sink_->OnTripQuarantined(event.vehicle_id, event.start_time,
-                               event.malformed);
-      break;
-  }
-  events_delivered_.fetch_add(1, kRelaxed);
-}
-
 void AlertDeliveryQueue::DrainLoop() {
   std::vector<DeliveryEvent> chunk;
   chunk.reserve(kDrainChunk);
@@ -129,7 +125,11 @@ void AlertDeliveryQueue::DrainLoop() {
       RL4_CHECK_EQ(event.seq, last_delivered_seq_ + 1);
       last_delivered_seq_ = event.seq;
       const int64_t start_ns = event.enqueue_ns;
-      Deliver(event);
+      Deliver(sink_, event);
+      if (event.kind == DeliveryEvent::Kind::kAlert) {
+        alerts_delivered_.fetch_add(1, kRelaxed);
+      }
+      events_delivered_.fetch_add(1, kRelaxed);
       const int64_t latency = clock_.ElapsedNanos() - start_ns;
       common::MutexLock lock(&mu_);
       if (latency_ns_.size() < kLatencyWindow) {

@@ -1,16 +1,18 @@
-// Asynchronous alert delivery: a bounded, sequence-ordered event queue with
-// one drainer thread per sink.
+// Alert delivery: the one sink dispatch, and the bounded, sequence-ordered
+// event queue that runs it on a drainer thread.
 //
-// The synchronous fleet paths invoke AlertSink callbacks under the reporting
-// trip's lock — and during a FeedBatch wave under the *other* wave trips'
-// locks too — so one slow sink stalls up to micro_batch trips. With
-// FleetConfig::async_alerts the monitor instead enqueues a value-copied
-// DeliveryEvent while it still holds the trip lock (which is what stamps the
-// event with its global sequence number) and returns; a dedicated drainer
-// thread pops events in sequence order and invokes the sink with **no
-// monitor lock held**. Because every event of one trip is enqueued under
-// that trip's lock, FIFO delivery preserves the in-order-per-trip contract
-// documented on AlertSink.
+// FleetMonitor captures every AlertSink callback as a DeliveryEvent under
+// the reporting trip's lock, and Deliver is the one switch that turns an
+// event back into a callback. Without FleetConfig::async_alerts the monitor
+// calls Deliver inline — under that trip's lock, and during a FeedBatch
+// wave under the *other* wave trips' locks too — so one slow sink stalls up
+// to micro_batch trips. With async_alerts the monitor instead enqueues the
+// event while it still holds the trip lock (which is what stamps it with
+// its global sequence number) and returns; a dedicated drainer thread pops
+// events in sequence order and calls Deliver with **no monitor lock held**.
+// Because every event of one trip is enqueued under that trip's lock, FIFO
+// delivery preserves the in-order-per-trip contract documented on
+// AlertSink.
 //
 // The queue is bounded (FleetConfig::alert_queue_capacity) and never drops:
 // lifecycle events (trip end / eviction / finalization) are load-bearing for
@@ -39,12 +41,13 @@ namespace rl4oasd::serve {
 
 /// One sink callback, captured by value so it can outlive the trip that
 /// produced it (the session is gone by delivery time for end/evict events).
+/// The fields a kind does not use stay empty.
 struct DeliveryEvent {
   enum class Kind : uint8_t {
     kAlert,
+    /// A completed trip: OnTripEnd, then OnTripFinalized.
     kTripEnd,
     kTripEvicted,
-    kTripFinalized,
     kTripQuarantined,
   };
   Kind kind = Kind::kAlert;
@@ -52,16 +55,21 @@ struct DeliveryEvent {
   /// reporting trip's lock — and asserted monotonic by the drainer.
   uint64_t seq = 0;
   Alert alert;  // kAlert only
-  int64_t vehicle_id = 0;
-  traj::SdPair sd;          // kTripFinalized
-  double start_time = 0.0;  // kTripEvicted / kTripFinalized / kTripQuarantined
-  std::vector<uint8_t> labels;
-  std::vector<traj::EdgeId> edges;  // kTripFinalized
+  int64_t vehicle_id = 0;  // every kind
+  traj::SdPair sd;          // kTripEnd
+  double start_time = 0.0;  // every kind but kAlert
+  std::vector<uint8_t> labels;      // kTripEnd / kTripEvicted
+  std::vector<traj::EdgeId> edges;  // kTripEnd
   /// Lifetime malformed-point count at quarantine entry (kTripQuarantined).
   int64_t malformed = 0;
   /// Reporting-only enqueue timestamp for the latency histogram.
   int64_t enqueue_ns = 0;
 };
+
+/// The one sink dispatch: invokes the `sink` callback that `event` captures.
+/// FleetMonitor calls it inline in synchronous mode; AlertDeliveryQueue's
+/// drainer calls it off every monitor lock in asynchronous mode.
+void Deliver(AlertSink* sink, const DeliveryEvent& event);
 
 /// Bounded FIFO of DeliveryEvents with one owned drainer thread. Thread-safe;
 /// the destructor delivers everything still queued, then joins.
@@ -99,7 +107,6 @@ class AlertDeliveryQueue {
   static constexpr size_t kLatencyWindow = 1 << 16;
 
   void DrainLoop();
-  void Deliver(const DeliveryEvent& event);
 
   AlertSink* const sink_;
   const size_t capacity_;

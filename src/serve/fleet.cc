@@ -171,7 +171,7 @@ Status FleetMonitor::StartTrip(int64_t vehicle_id, traj::SdPair sd,
     }
     reserved = active_trips_.fetch_add(1, kRelaxed) + 1;
   }
-  shard.counters.trips_started.fetch_add(1, kRelaxed);
+  shard.counters.Add<&Counters::trips_started>();
   if (reserved > cap) {
     // This admission overflowed the cap, so it pays for exactly one
     // eviction. The count can transiently sit above the cap (by the number
@@ -192,97 +192,36 @@ std::shared_ptr<FleetMonitor::Trip> FleetMonitor::ResolveTrip(
 }
 
 void FleetMonitor::EmitNewRuns(int64_t vehicle_id, Trip* trip, Shard* shard,
-                               double timestamp) {
-  const auto runs = trip->session.TakeNewlyClosedRuns();
+                               double timestamp, bool with_open_run) {
+  auto runs = trip->session.TakeNewlyClosedRuns();
+  if (with_open_run) {
+    if (const auto open = trip->session.OpenRun()) runs.push_back(*open);
+  }
   if (runs.empty()) return;
   const size_t position = trip->session.labels().size();
   for (const auto& run : runs) {
-    SinkAlert(Alert{vehicle_id, trip->sd, trip->start_time, run, timestamp,
-                    position});
-  }
-  shard->counters.alerts_emitted.fetch_add(static_cast<int64_t>(runs.size()),
-                                           kRelaxed);
-}
-
-// The Sink* helpers run under the reporting trip's lock (their callers are
-// the EmitNewRuns/EndTrip/FinishEvicted critical sections); enqueueing on
-// the delivery queue there is rank-legal (kFleetDelivery > kFleetTrip) and
-// is precisely what stamps the event sequence "under the trip lock".
-
-void FleetMonitor::SinkAlert(const Alert& alert) {
-  if (sink_ == nullptr) return;
-  if (delivery_ != nullptr) {
     DeliveryEvent event;
     event.kind = DeliveryEvent::Kind::kAlert;
-    event.alert = alert;
-    event.vehicle_id = alert.vehicle_id;
-    delivery_->Enqueue(std::move(event));
-    return;
+    event.vehicle_id = vehicle_id;
+    event.alert = Alert{vehicle_id, trip->sd, trip->start_time, run,
+                        timestamp, position};
+    Emit(std::move(event));
   }
-  sink_->OnAlert(alert);
+  shard->counters.Add<&Counters::alerts_emitted>(
+      static_cast<int64_t>(runs.size()));
 }
 
-void FleetMonitor::SinkTripEnd(int64_t vehicle_id,
-                               const std::vector<uint8_t>& labels) {
+// Emit runs under the reporting trip's lock (its callers are the wave step,
+// EndTrip and FinishEvicted critical sections); enqueueing on the delivery
+// queue there is rank-legal (kFleetDelivery > kFleetTrip) and is precisely
+// what stamps the event sequence "under the trip lock".
+void FleetMonitor::Emit(DeliveryEvent event) {
   if (sink_ == nullptr) return;
   if (delivery_ != nullptr) {
-    DeliveryEvent event;
-    event.kind = DeliveryEvent::Kind::kTripEnd;
-    event.vehicle_id = vehicle_id;
-    event.labels = labels;
     delivery_->Enqueue(std::move(event));
-    return;
+  } else {
+    Deliver(sink_, event);
   }
-  sink_->OnTripEnd(vehicle_id, labels);
-}
-
-void FleetMonitor::SinkTripEvicted(int64_t vehicle_id, double start_time,
-                                   const std::vector<uint8_t>& labels) {
-  if (sink_ == nullptr) return;
-  if (delivery_ != nullptr) {
-    DeliveryEvent event;
-    event.kind = DeliveryEvent::Kind::kTripEvicted;
-    event.vehicle_id = vehicle_id;
-    event.start_time = start_time;
-    event.labels = labels;
-    delivery_->Enqueue(std::move(event));
-    return;
-  }
-  sink_->OnTripEvicted(vehicle_id, start_time, labels);
-}
-
-void FleetMonitor::SinkTripFinalized(int64_t vehicle_id, traj::SdPair sd,
-                                     double start_time,
-                                     const std::vector<traj::EdgeId>& edges,
-                                     const std::vector<uint8_t>& labels) {
-  if (sink_ == nullptr) return;
-  if (delivery_ != nullptr) {
-    DeliveryEvent event;
-    event.kind = DeliveryEvent::Kind::kTripFinalized;
-    event.vehicle_id = vehicle_id;
-    event.sd = sd;
-    event.start_time = start_time;
-    event.edges = edges;
-    event.labels = labels;
-    delivery_->Enqueue(std::move(event));
-    return;
-  }
-  sink_->OnTripFinalized(vehicle_id, sd, start_time, edges, labels);
-}
-
-void FleetMonitor::SinkTripQuarantined(int64_t vehicle_id, double start_time,
-                                       int64_t malformed_points) {
-  if (sink_ == nullptr) return;
-  if (delivery_ != nullptr) {
-    DeliveryEvent event;
-    event.kind = DeliveryEvent::Kind::kTripQuarantined;
-    event.vehicle_id = vehicle_id;
-    event.start_time = start_time;
-    event.malformed = malformed_points;
-    delivery_->Enqueue(std::move(event));
-    return;
-  }
-  sink_->OnTripQuarantined(vehicle_id, start_time, malformed_points);
 }
 
 FleetMonitor::GuardVerdict FleetMonitor::ApplyGuard(int64_t vehicle_id,
@@ -296,43 +235,147 @@ FleetMonitor::GuardVerdict FleetMonitor::ApplyGuard(int64_t vehicle_id,
     case IngestGuard::Anomaly::kNone:
       break;
     case IngestGuard::Anomaly::kInvalidEdge:
-      c.guard_invalid_edges.fetch_add(1, kRelaxed);
+      c.Add<&Counters::guard_invalid_edges>();
       break;
     case IngestGuard::Anomaly::kDuplicate:
-      c.guard_duplicates.fetch_add(1, kRelaxed);
+      c.Add<&Counters::guard_duplicates>();
       break;
     case IngestGuard::Anomaly::kOutOfOrder:
-      c.guard_out_of_order.fetch_add(1, kRelaxed);
+      c.Add<&Counters::guard_out_of_order>();
       break;
     case IngestGuard::Anomaly::kClockSkew:
-      c.guard_clock_skew.fetch_add(1, kRelaxed);
+      c.Add<&Counters::guard_clock_skew>();
       break;
     case IngestGuard::Anomaly::kDropout:
-      c.guard_dropout_gaps.fetch_add(1, kRelaxed);
+      c.Add<&Counters::guard_dropout_gaps>();
       break;
     case IngestGuard::Anomaly::kTeleport:
-      c.guard_teleports.fetch_add(1, kRelaxed);
+      c.Add<&Counters::guard_teleports>();
       break;
   }
-  if (d.repaired) c.points_repaired.fetch_add(1, kRelaxed);
+  if (d.repaired) c.Add<&Counters::points_repaired>();
   if (!d.accept) {
     if (d.quarantine_dropped) {
-      c.points_quarantine_dropped.fetch_add(1, kRelaxed);
+      c.Add<&Counters::points_quarantine_dropped>();
     } else {
-      c.points_rejected.fetch_add(1, kRelaxed);
+      c.Add<&Counters::points_rejected>();
     }
   }
   if (d.entered_quarantine) {
-    c.trips_quarantined.fetch_add(1, kRelaxed);
-    // Fired here, under the trip lock, so the quarantine notice is
+    c.Add<&Counters::trips_quarantined>();
+    // Emitted here, under the trip lock, so the quarantine notice is
     // sequenced against the trip's alerts exactly like every other
     // lifecycle event.
-    SinkTripQuarantined(vehicle_id, trip->start_time,
-                        trip->guard.malformed_total);
+    DeliveryEvent event;
+    event.kind = DeliveryEvent::Kind::kTripQuarantined;
+    event.vehicle_id = vehicle_id;
+    event.start_time = trip->start_time;
+    event.malformed = trip->guard.malformed_total;
+    Emit(std::move(event));
   }
-  if (d.recovered) c.trips_recovered.fetch_add(1, kRelaxed);
+  if (d.recovered) c.Add<&Counters::trips_recovered>();
   *timestamp = d.timestamp;
   return GuardVerdict{d.accept, d.evict};
+}
+
+// Analysis opt-out rationale: a wave holds a *runtime-sized set* of trip
+// locks (one common::UniqueLock per slot), which Clang TSA cannot model
+// (capabilities must be compile-time expressions). The protocol is enforced
+// elsewhere on both axes: the debug-build rank checker asserts the
+// ascending-address same-rank acquisition order at runtime on every wave,
+// and the TSAN CI job stresses concurrent Feed/FeedBatch callers against
+// SwapModel and the evictors.
+void FleetMonitor::StepWave(std::span<WaveSlot> slots)
+    RL4OASD_NO_THREAD_SAFETY_ANALYSIS {
+  using Outcome = WaveSlot::Outcome;
+  // The relaxed generation hint keeps the steady state free of the model
+  // mutex and the handle refcount: the current handle is fetched only when
+  // some trip is pinned to an older generation than the hint.
+  const uint64_t generation = current_generation_.load(kRelaxed);
+  std::shared_ptr<const ModelHandle> current;
+  // The wave's model: the first live trip's. Its lock is held until the
+  // fused step is done, so the handle outlives the step.
+  const ModelHandle* wave = nullptr;
+  size_t fused = 0;
+  for (WaveSlot& slot : slots) {
+    Trip* const trip = slot.trip;
+    // std::less<Trip*> order across every caller, so concurrent waves and
+    // the single-lock paths cannot deadlock.
+    slot.lock = common::UniqueLock(&trip->mu);
+    // A finisher (EndTrip/eviction) erases the trip from the shard map
+    // *before* setting finished, so the caller's fresh resolve sees either
+    // nothing or the vehicle's next trip.
+    if (trip->finished) {
+      slot.outcome = Outcome::kFinished;
+      continue;
+    }
+    // Lazy hot-swap migration: a trip still primed against a retired model
+    // replays its history through the current one before this point.
+    if (trip->handle->generation < generation) {
+      if (current == nullptr) current = CurrentHandle();
+      if (trip->handle->generation < current->generation) {
+        ReprimeLocked(trip, current);
+      }
+    }
+    // One model per fused step. A trip that a racing SwapModel moved past
+    // the wave's model is left, unguarded, for the next round, so the guard
+    // sees each point exactly once.
+    if (wave == nullptr) wave = trip->handle.get();
+    if (trip->handle.get() != wave) {
+      slot.outcome = Outcome::kDeferred;
+      continue;
+    }
+    // The input contract runs before the session sees anything. The
+    // timestamp comes back rewritten to the trip's monotone clock, which is
+    // what staleness and alert timestamps record.
+    const GuardVerdict v = ApplyGuard(slot.vehicle_id, trip, slot.shard,
+                                      slot.edge, &slot.timestamp);
+    trip->last_update.store(slot.timestamp, kRelaxed);
+    if (!v.accept) {
+      const bool quarantined = trip->guard.quarantined || v.evict;
+      slot.outcome = quarantined ? Outcome::kQuarantined : Outcome::kRejected;
+      slot.evict = v.evict;
+      continue;
+    }
+    slot.outcome = Outcome::kFed;
+    ++fused;
+  }
+  if (fused > 0) {
+    // Scratch reused across calls on this thread (no per-point allocation).
+    // It is live only until the labels are copied out, before any sink
+    // callback runs.
+    struct Scratch {
+      std::vector<core::OnlineDetector::Session*> sessions;
+      std::vector<traj::EdgeId> edges;
+      std::vector<int> labels;
+    };
+    static thread_local Scratch scratch;
+    scratch.sessions.clear();
+    scratch.edges.clear();
+    for (const WaveSlot& slot : slots) {
+      if (slot.outcome != Outcome::kFed) continue;
+      scratch.sessions.push_back(&slot.trip->session);
+      scratch.edges.push_back(slot.edge);
+    }
+    scratch.labels.resize(fused);
+    wave->model->detector().FeedBatch(scratch.sessions, scratch.edges,
+                                      scratch.labels.data());
+    size_t k = 0;
+    for (WaveSlot& slot : slots) {
+      if (slot.outcome == Outcome::kFed) slot.label = scratch.labels[k++];
+    }
+    for (const WaveSlot& slot : slots) {
+      if (slot.outcome != Outcome::kFed) continue;
+      EmitNewRuns(slot.vehicle_id, slot.trip, slot.shard, slot.timestamp);
+      slot.shard->counters.Add<&Counters::points_processed>();
+    }
+  }
+  for (WaveSlot& slot : slots) slot.lock.Release();
+  // No wave lock held: eviction re-acquires shard then trip locks, which
+  // the rank hierarchy forbids under a trip lock.
+  for (const WaveSlot& slot : slots) {
+    if (slot.evict) EvictQuarantined(slot.vehicle_id, slot.trip);
+  }
 }
 
 Result<int> FleetMonitor::Feed(int64_t vehicle_id, traj::EdgeId edge,
@@ -344,66 +387,30 @@ Result<int> FleetMonitor::Feed(int64_t vehicle_id, traj::EdgeId edge,
       return Status::NotFound("vehicle " + std::to_string(vehicle_id) +
                               " has no active trip");
     }
-    Trip* const t = trip.get();
-    bool evict = false;
-    bool quarantine_dropped = false;
-    {
-      common::MutexLock lock(&t->mu);
-      // A finisher (EndTrip/eviction) erases the trip from the shard map
-      // *before* setting finished, so observing the flag here means a fresh
-      // resolve sees either nothing or the vehicle's next trip — retry
-      // rather than dropping a point the vehicle's live trip should get.
-      if (t->finished) continue;
-      // Lazy hot-swap migration: a trip still primed against a retired
-      // model replays its history through the current one before this
-      // point. The relaxed generation hint keeps the steady-state path free
-      // of the model mutex and handle refcount; a trip already *newer* than
-      // the fetched handle (SwapModel raced us) just proceeds on its own
-      // session.
-      if (t->handle->generation < current_generation_.load(kRelaxed)) {
-        const auto handle = CurrentHandle();
-        if (t->handle->generation < handle->generation) {
-          ReprimeLocked(t, handle);
-        }
-      }
-      // The input contract runs before the session sees anything. The
-      // timestamp comes back rewritten to the trip's monotone clock, which
-      // is what staleness and alert timestamps record — one skewed or
-      // negative client timestamp can no longer mark the trip stalest.
-      double ts = timestamp;
-      const GuardVerdict v = ApplyGuard(vehicle_id, t, &shard, edge, &ts);
-      t->last_update.store(ts, kRelaxed);
-      if (v.accept) {
-        const int label = t->session.Feed(edge);
-        EmitNewRuns(vehicle_id, t, &shard, ts);
-        shard.counters.points_processed.fetch_add(1, kRelaxed);
-        return label;
-      }
-      evict = v.evict;
-      quarantine_dropped = t->guard.quarantined || evict;
+    WaveSlot slot{trip.get(), &shard, vehicle_id, edge, timestamp};
+    StepWave({&slot, 1});
+    switch (slot.outcome) {
+      case WaveSlot::Outcome::kFed:
+        return slot.label;
+      case WaveSlot::Outcome::kRejected:
+        return Status::InvalidArgument(
+            "point rejected by the ingest guard for vehicle " +
+            std::to_string(vehicle_id));
+      case WaveSlot::Outcome::kQuarantined:
+        return Status::ResourceExhausted(
+            "vehicle " + std::to_string(vehicle_id) +
+            " is quarantined (malformed-point budget exceeded); point dropped");
+      case WaveSlot::Outcome::kFinished:
+      case WaveSlot::Outcome::kDeferred:
+        // Ended under us: re-resolve rather than drop a point the
+        // vehicle's live trip should get. (A one-slot wave never defers:
+        // its trip's model is the wave's.)
+        continue;
     }
-    // The quarantine point budget ran out: remove the trip with no trip
-    // lock held (shard rank sits below trip rank). `trip` keeps it alive.
-    if (evict) EvictQuarantined(vehicle_id, t);
-    if (quarantine_dropped) {
-      return Status::ResourceExhausted(
-          "vehicle " + std::to_string(vehicle_id) +
-          " is quarantined (malformed-point budget exceeded); point dropped");
-    }
-    return Status::InvalidArgument(
-        "point rejected by the ingest guard for vehicle " +
-        std::to_string(vehicle_id));
   }
 }
 
-// Analysis opt-out rationale: a wave holds a *runtime-sized set* of trip
-// locks in one std::vector<common::UniqueLock>, which Clang TSA cannot
-// model (capabilities must be compile-time expressions). The protocol is
-// enforced elsewhere on both axes: the debug-build rank checker asserts the
-// ascending-address same-rank acquisition order at runtime on every wave,
-// and the TSAN CI job stresses concurrent FeedBatch callers.
-size_t FleetMonitor::FeedBatch(std::span<const FleetPoint> points)
-    RL4OASD_NO_THREAD_SAFETY_ANALYSIS {
+size_t FleetMonitor::FeedBatch(std::span<const FleetPoint> points) {
   if (points.empty()) return 0;
   const size_t num_shards = shards_.size();
   // Counting-sort point indices by shard — stable, so a vehicle's points
@@ -432,11 +439,11 @@ size_t FleetMonitor::FeedBatch(std::span<const FleetPoint> points)
 
   // Group each trip's points into a per-trip queue by sorting (trip
   // address, arrival index) pairs: one O(n log n) pass, no per-trip
-  // allocations, and the resulting group order doubles as the global
+  // allocations, and the resulting group order doubles as the wave step's
   // lock-acquisition order. One resolve pass per batch means every point
   // of a vehicle maps to the same Trip pointer; restarts mid-batch surface
-  // as `finished` below. `resolved` keeps every grouped Trip alive for the
-  // whole call.
+  // as `finished` in the step. `resolved` keeps every grouped Trip alive
+  // for the whole call.
   std::vector<std::pair<Trip*, size_t>> items;  // (trip, index into points)
   items.reserve(points.size());
   for (size_t k = 0; k < points.size(); ++k) {
@@ -472,13 +479,10 @@ size_t FleetMonitor::FeedBatch(std::span<const FleetPoint> points)
     begin = end;
   }
 
-  // Wave loop: each round takes the next point of every still-active trip
-  // and fuses up to `micro_batch` of those model steps into one batched
-  // detector forward. All of a chunk's trip locks are held across the fused
-  // step; groups are visited in Trip-address order, so concurrent FeedBatch
-  // callers (and the single-lock paths) cannot deadlock.
+  // Wave loop: each round offers the next point of every still-active trip
+  // to the wave step, `micro_batch` trips per step. Groups are visited in
+  // Trip-address order, which is the order the step locks them in.
   const size_t wave_cap = std::max<size_t>(size_t{1}, config_.micro_batch);
-  std::vector<int64_t> shard_fed(num_shards, 0);
   size_t fed = 0;
   // `active` holds the still-live group indices and is compacted once per
   // round (not rebuilt), so a skewed batch — one deep per-trip queue among
@@ -486,93 +490,32 @@ size_t FleetMonitor::FeedBatch(std::span<const FleetPoint> points)
   std::vector<size_t> active;
   active.reserve(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) active.push_back(g);
-  std::vector<common::UniqueLock> locks;
-  locks.reserve(std::min(wave_cap, groups.size()));
-  std::vector<size_t> live;
-  std::vector<core::OnlineDetector::Session*> sessions;
-  std::vector<traj::EdgeId> edges;
-  std::vector<double> live_ts;
-  // Quarantine evictions decided during a wave are deferred until the
-  // chunk's locks are released: eviction re-acquires shard then trip locks,
-  // which the rank hierarchy forbids while any wave lock is held. The
-  // `resolved` vector keeps every victim alive until then.
-  std::vector<std::pair<int64_t, Trip*>> quarantine_victims;
+  std::vector<WaveSlot> slots;
+  slots.reserve(std::min(wave_cap, groups.size()));
   while (!active.empty()) {
     for (size_t chunk = 0; chunk < active.size(); chunk += wave_cap) {
       const size_t chunk_end = std::min(active.size(), chunk + wave_cap);
-      // One model handle per wave chunk: every fused session is primed
-      // against it, so the batched detector call never mixes weights.
-      const auto handle = CurrentHandle();
-      locks.clear();
-      live.clear();
-      sessions.clear();
-      edges.clear();
-      live_ts.clear();
+      slots.clear();
+      for (size_t i = chunk; i < chunk_end; ++i) {
+        const TripGroup& g = groups[active[i]];
+        const FleetPoint& p = points[items[g.next].second];
+        slots.push_back(WaveSlot{items[g.next].first, g.shard, p.vehicle_id,
+                                 p.edge, p.timestamp});
+      }
+      StepWave(slots);
       for (size_t i = chunk; i < chunk_end; ++i) {
         TripGroup& g = groups[active[i]];
-        Trip* trip = items[g.next].first;
-        locks.emplace_back(&trip->mu);
-        if (trip->finished) {
+        const WaveSlot::Outcome outcome = slots[i - chunk].outcome;
+        if (outcome == WaveSlot::Outcome::kFinished) {
           // Ended under us (EndTrip or eviction, possibly followed by a
-          // same-vehicle restart): release the lock and route this trip's
-          // remaining points through Feed, which re-resolves.
+          // same-vehicle restart): the rest goes through Feed, which
+          // re-resolves.
           g.fallback = true;
-          locks.pop_back();
-          continue;
-        }
-        if (trip->handle->generation < handle->generation) {
-          ReprimeLocked(trip, handle);
-        }
-        // The same input contract as Feed, applied before the fusion
-        // decision so sync and async ingest stay point-for-point
-        // equivalent.
-        const FleetPoint& p = points[items[g.next].second];
-        double ts = p.timestamp;
-        const GuardVerdict v =
-            ApplyGuard(p.vehicle_id, trip, g.shard, p.edge, &ts);
-        trip->last_update.store(ts, kRelaxed);
-        if (!v.accept) {
-          if (v.evict) quarantine_victims.emplace_back(p.vehicle_id, trip);
-          ++g.next;
-          locks.pop_back();
-          continue;
-        }
-        if (trip->handle != handle) {
-          // A racing SwapModel moved this trip past our handle between the
-          // fetch above and taking its lock: its session belongs to a newer
-          // detector, so it cannot fuse into this wave. Feed it alone on
-          // its own (newer) model instead — a width-1 step, no fusion.
-          (void)trip->session.Feed(p.edge);
-          EmitNewRuns(p.vehicle_id, trip, g.shard, ts);
-          ++shard_fed[ShardIndexOf(p.vehicle_id)];
-          ++g.next;
-          continue;
-        }
-        live.push_back(active[i]);
-        sessions.push_back(&trip->session);
-        edges.push_back(p.edge);
-        live_ts.push_back(ts);
-      }
-      if (!sessions.empty()) {
-        handle->model->detector().FeedBatch(sessions, edges);
-        for (size_t li = 0; li < live.size(); ++li) {
-          TripGroup& g = groups[live[li]];
-          Trip* trip = items[g.next].first;
-          const FleetPoint& p = points[items[g.next].second];
-          EmitNewRuns(p.vehicle_id, trip, g.shard, live_ts[li]);
-          ++shard_fed[ShardIndexOf(p.vehicle_id)];
-          ++g.next;
+        } else if (outcome != WaveSlot::Outcome::kDeferred) {
+          if (outcome == WaveSlot::Outcome::kFed) ++fed;
+          ++g.next;  // a deferred point waits for the next round
         }
       }
-      locks.clear();
-      // No wave lock held: finish this chunk's quarantine evictions. A
-      // victim's remaining points hit its `finished` flag next round and
-      // fall back to Feed, which re-resolves (NotFound, or the vehicle's
-      // next trip).
-      for (const auto& [vehicle, victim] : quarantine_victims) {
-        EvictQuarantined(vehicle, victim);
-      }
-      quarantine_victims.clear();
     }
     active.erase(std::remove_if(active.begin(), active.end(),
                                 [&](size_t g) {
@@ -582,14 +525,7 @@ size_t FleetMonitor::FeedBatch(std::span<const FleetPoint> points)
                  active.end());
   }
 
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (shard_fed[s] != 0) {
-      shards_[s].counters.points_processed.fetch_add(shard_fed[s], kRelaxed);
-      fed += static_cast<size_t>(shard_fed[s]);
-    }
-  }
-  // Deferred fallback: trips that ended mid-batch. Feed counts the points
-  // it accepts itself.
+  // Deferred fallback: trips that ended mid-batch.
   for (const TripGroup& g : groups) {
     if (!g.fallback) continue;
     for (size_t k = g.next; k < g.end; ++k) {
@@ -659,15 +595,23 @@ Result<std::vector<uint8_t>> FleetMonitor::EndTrip(int64_t vehicle_id) {
     // by definition) becomes takable and is emitted here.
     labels = t->session.Finish();
     EmitNewRuns(vehicle_id, t, &shard, t->last_update.load(kRelaxed));
-    SinkTripEnd(vehicle_id, labels);
-    // The harvesting callback: a completed trip's (edges, final labels)
-    // pair is a ready-made training sample for online learning. Exactly
-    // once per trip — `finished` above makes this EndTrip the only one
-    // that reaches here.
-    SinkTripFinalized(vehicle_id, t->sd, t->start_time, t->session.edges(),
-                      labels);
+    if (sink_ != nullptr) {
+      // OnTripEnd plus the harvesting OnTripFinalized: a completed trip's
+      // (edges, final labels) pair is a ready-made training sample for
+      // online learning. Exactly once per trip — `finished` above makes
+      // this EndTrip the only one that reaches here, so the finished
+      // session's edge history moves into the event.
+      DeliveryEvent end;
+      end.kind = DeliveryEvent::Kind::kTripEnd;
+      end.vehicle_id = vehicle_id;
+      end.sd = t->sd;
+      end.start_time = t->start_time;
+      end.edges = t->session.TakeEdges();
+      end.labels = labels;
+      Emit(std::move(end));
+    }
   }
-  shard.counters.trips_finished.fetch_add(1, kRelaxed);
+  shard.counters.Add<&Counters::trips_finished>();
   return labels;
 }
 
@@ -677,18 +621,20 @@ void FleetMonitor::FinishEvicted(int64_t vehicle_id, Trip* trip,
   {
     common::MutexLock lock(&trip->mu);
     trip->finished = true;
-    const double ts = trip->last_update.load(kRelaxed);
     // Runs that became final but were never drained, then the still-open
     // tail: eviction must not silently drop an anomaly in progress.
-    EmitNewRuns(vehicle_id, trip, shard, ts);
-    if (const auto open = trip->session.OpenRun()) {
-      SinkAlert(Alert{vehicle_id, trip->sd, trip->start_time, *open, ts,
-                      trip->session.labels().size()});
-      shard->counters.alerts_emitted.fetch_add(1, kRelaxed);
+    EmitNewRuns(vehicle_id, trip, shard, trip->last_update.load(kRelaxed),
+                /*with_open_run=*/true);
+    if (sink_ != nullptr) {
+      DeliveryEvent evicted;
+      evicted.kind = DeliveryEvent::Kind::kTripEvicted;
+      evicted.vehicle_id = vehicle_id;
+      evicted.start_time = trip->start_time;
+      evicted.labels = trip->session.labels();
+      Emit(std::move(evicted));
     }
-    SinkTripEvicted(vehicle_id, trip->start_time, trip->session.labels());
   }
-  shard->counters.trips_evicted.fetch_add(1, kRelaxed);
+  shard->counters.Add<&Counters::trips_evicted>();
 }
 
 void FleetMonitor::EvictQuarantined(int64_t vehicle_id, Trip* trip) {
@@ -704,7 +650,7 @@ void FleetMonitor::EvictQuarantined(int64_t vehicle_id, Trip* trip) {
     shard.trips.erase(it);
   }
   FinishEvicted(vehicle_id, trip, &shard);
-  shard.counters.quarantine_evictions.fetch_add(1, kRelaxed);
+  shard.counters.Add<&Counters::quarantine_evictions>();
 }
 
 size_t FleetMonitor::EvictStale(double now) {
@@ -778,25 +724,10 @@ size_t FleetMonitor::ActiveTrips() const {
 FleetStats FleetMonitor::Stats() const {
   FleetStats stats;
   for (const Shard& shard : shards_) {
-    const ShardCounters& c = shard.counters;
-    stats.trips_started += c.trips_started.load(kRelaxed);
-    stats.trips_finished += c.trips_finished.load(kRelaxed);
-    stats.points_processed += c.points_processed.load(kRelaxed);
-    stats.alerts_emitted += c.alerts_emitted.load(kRelaxed);
-    stats.trips_evicted += c.trips_evicted.load(kRelaxed);
-    stats.guard_duplicates += c.guard_duplicates.load(kRelaxed);
-    stats.guard_out_of_order += c.guard_out_of_order.load(kRelaxed);
-    stats.guard_clock_skew += c.guard_clock_skew.load(kRelaxed);
-    stats.guard_dropout_gaps += c.guard_dropout_gaps.load(kRelaxed);
-    stats.guard_teleports += c.guard_teleports.load(kRelaxed);
-    stats.guard_invalid_edges += c.guard_invalid_edges.load(kRelaxed);
-    stats.points_repaired += c.points_repaired.load(kRelaxed);
-    stats.points_rejected += c.points_rejected.load(kRelaxed);
-    stats.points_quarantine_dropped +=
-        c.points_quarantine_dropped.load(kRelaxed);
-    stats.trips_quarantined += c.trips_quarantined.load(kRelaxed);
-    stats.trips_recovered += c.trips_recovered.load(kRelaxed);
-    stats.quarantine_evictions += c.quarantine_evictions.load(kRelaxed);
+    for (size_t i = 0; i < io::kNumFleetCounters; ++i) {
+      stats.*io::kFleetCounterFields[i].member +=
+          shard.counters.values[i].load(kRelaxed);
+    }
   }
   if (ingest_ != nullptr) {
     stats.points_submitted = ingest_->PointsSubmitted();
@@ -839,27 +770,13 @@ std::string FleetMonitor::DumpMetrics() const {
     out.append(std::to_string(value));
     out.push_back('\n');
   };
-  line("fleet_trips_started", s.trips_started);
-  line("fleet_trips_finished", s.trips_finished);
-  line("fleet_trips_evicted", s.trips_evicted);
+  for (const io::FleetCounterField& f : io::kFleetCounterFields) {
+    line(f.metric, s.*f.member);
+  }
   line("fleet_trips_active", static_cast<int64_t>(ActiveTrips()));
-  line("fleet_points_processed", s.points_processed);
   line("fleet_points_submitted", s.points_submitted);
   line("fleet_points_shed", s.points_shed);
-  line("fleet_alerts_emitted", s.alerts_emitted);
   line("fleet_alerts_delivered", s.alerts_delivered);
-  line("guard_duplicates", s.guard_duplicates);
-  line("guard_out_of_order", s.guard_out_of_order);
-  line("guard_clock_skew", s.guard_clock_skew);
-  line("guard_dropout_gaps", s.guard_dropout_gaps);
-  line("guard_teleports", s.guard_teleports);
-  line("guard_invalid_edges", s.guard_invalid_edges);
-  line("guard_points_repaired", s.points_repaired);
-  line("guard_points_rejected", s.points_rejected);
-  line("guard_points_quarantine_dropped", s.points_quarantine_dropped);
-  line("guard_trips_quarantined", s.trips_quarantined);
-  line("guard_trips_recovered", s.trips_recovered);
-  line("guard_quarantine_evictions", s.quarantine_evictions);
   line("model_generation", static_cast<int64_t>(ModelGeneration()));
   return out;
 }
@@ -925,23 +842,9 @@ Status FleetMonitor::Snapshot(BinaryWriter* w, std::string_view user_meta) {
   out.WriteU32(io::kFleetSnapshotVersion);
   out.WriteU64(handle->Fingerprint());
   out.WriteString(user_meta);
-  out.WriteI64(stats.trips_started);
-  out.WriteI64(stats.trips_finished);
-  out.WriteI64(stats.points_processed);
-  out.WriteI64(stats.alerts_emitted);
-  out.WriteI64(stats.trips_evicted);
-  out.WriteI64(stats.guard_duplicates);
-  out.WriteI64(stats.guard_out_of_order);
-  out.WriteI64(stats.guard_clock_skew);
-  out.WriteI64(stats.guard_dropout_gaps);
-  out.WriteI64(stats.guard_teleports);
-  out.WriteI64(stats.guard_invalid_edges);
-  out.WriteI64(stats.points_repaired);
-  out.WriteI64(stats.points_rejected);
-  out.WriteI64(stats.points_quarantine_dropped);
-  out.WriteI64(stats.trips_quarantined);
-  out.WriteI64(stats.trips_recovered);
-  out.WriteI64(stats.quarantine_evictions);
+  for (const io::FleetCounterField& f : io::kFleetCounterFields) {
+    out.WriteI64(stats.*f.member);
+  }
   out.WriteU64(records.size());
   for (const auto& [vehicle, last_update, blob, guard_blob] : records) {
     out.WriteI64(vehicle);
@@ -965,40 +868,6 @@ Status FleetMonitor::Restore(BinaryReader* r, RestoreInfo* info) {
         "); restoring live LSTM states against other weights would "
         "silently diverge");
   }
-  std::string user_meta = std::move(header.user_meta);
-  FleetStats stats;
-  stats.trips_started = header.trips_started;
-  stats.trips_finished = header.trips_finished;
-  stats.points_processed = header.points_processed;
-  stats.alerts_emitted = header.alerts_emitted;
-  stats.trips_evicted = header.trips_evicted;
-  stats.guard_duplicates = header.guard_duplicates;
-  stats.guard_out_of_order = header.guard_out_of_order;
-  stats.guard_clock_skew = header.guard_clock_skew;
-  stats.guard_dropout_gaps = header.guard_dropout_gaps;
-  stats.guard_teleports = header.guard_teleports;
-  stats.guard_invalid_edges = header.guard_invalid_edges;
-  stats.points_repaired = header.points_repaired;
-  stats.points_rejected = header.points_rejected;
-  stats.points_quarantine_dropped = header.points_quarantine_dropped;
-  stats.trips_quarantined = header.trips_quarantined;
-  stats.trips_recovered = header.trips_recovered;
-  stats.quarantine_evictions = header.quarantine_evictions;
-  // Counters are hostile input like everything else: a lying negative
-  // value would poison Stats() and the conservation identity forever.
-  if (stats.trips_started < 0 || stats.trips_finished < 0 ||
-      stats.points_processed < 0 || stats.alerts_emitted < 0 ||
-      stats.trips_evicted < 0 || stats.guard_duplicates < 0 ||
-      stats.guard_out_of_order < 0 || stats.guard_clock_skew < 0 ||
-      stats.guard_dropout_gaps < 0 || stats.guard_teleports < 0 ||
-      stats.guard_invalid_edges < 0 || stats.points_repaired < 0 ||
-      stats.points_rejected < 0 || stats.points_quarantine_dropped < 0 ||
-      stats.trips_quarantined < 0 || stats.trips_recovered < 0 ||
-      stats.quarantine_evictions < 0) {
-    return Status::InvalidArgument(
-        "snapshot service counters are negative (corrupt or forged header)");
-  }
-
   uint64_t num_trips;
   RL4_RETURN_NOT_OK(io::ReadFleetSnapshotTripCount(r, &num_trips));
 
@@ -1080,31 +949,17 @@ Status FleetMonitor::Restore(BinaryReader* r, RestoreInfo* info) {
   // can be offset by in-flight starts — deriving it keeps
   // started == finished + evicted + active exact after every restore (and
   // is identical to the stored value for a quiesced snapshot).
-  stats.trips_started = stats.trips_finished + stats.trips_evicted +
-                        static_cast<int64_t>(parsed.size());
+  // ReadFleetSnapshotHeader bounded this sum, so it cannot overflow.
+  header.trips_started = header.trips_finished + header.trips_evicted +
+                         static_cast<int64_t>(parsed.size());
   ShardCounters& counters = shards_[0].counters;
-  counters.trips_started.fetch_add(stats.trips_started, kRelaxed);
-  counters.trips_finished.fetch_add(stats.trips_finished, kRelaxed);
-  counters.points_processed.fetch_add(stats.points_processed, kRelaxed);
-  counters.alerts_emitted.fetch_add(stats.alerts_emitted, kRelaxed);
-  counters.trips_evicted.fetch_add(stats.trips_evicted, kRelaxed);
-  counters.guard_duplicates.fetch_add(stats.guard_duplicates, kRelaxed);
-  counters.guard_out_of_order.fetch_add(stats.guard_out_of_order, kRelaxed);
-  counters.guard_clock_skew.fetch_add(stats.guard_clock_skew, kRelaxed);
-  counters.guard_dropout_gaps.fetch_add(stats.guard_dropout_gaps, kRelaxed);
-  counters.guard_teleports.fetch_add(stats.guard_teleports, kRelaxed);
-  counters.guard_invalid_edges.fetch_add(stats.guard_invalid_edges, kRelaxed);
-  counters.points_repaired.fetch_add(stats.points_repaired, kRelaxed);
-  counters.points_rejected.fetch_add(stats.points_rejected, kRelaxed);
-  counters.points_quarantine_dropped.fetch_add(
-      stats.points_quarantine_dropped, kRelaxed);
-  counters.trips_quarantined.fetch_add(stats.trips_quarantined, kRelaxed);
-  counters.trips_recovered.fetch_add(stats.trips_recovered, kRelaxed);
-  counters.quarantine_evictions.fetch_add(stats.quarantine_evictions,
-                                          kRelaxed);
+  for (size_t i = 0; i < io::kNumFleetCounters; ++i) {
+    counters.values[i].fetch_add(header.*io::kFleetCounterFields[i].member,
+                                 kRelaxed);
+  }
 
   if (info != nullptr) {
-    info->user_meta = std::move(user_meta);
+    info->user_meta = std::move(header.user_meta);
     info->trips = std::move(restored);
   }
   return Status::OK();

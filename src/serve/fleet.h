@@ -5,10 +5,17 @@
 // deviate from the normal route". A deployment therefore runs one detection
 // session per *active trip*, fed by an interleaved stream of GPS-derived
 // road segments from the whole fleet. FleetMonitor owns that bookkeeping:
-// trip lifecycle, thread-safe ingest (synchronous Feed/FeedBatch and the
-// self-batching Submit pipeline of serve/ingest_queue.h), stale-trip
-// eviction, alert delivery (inline or via the bounded async queue of
-// serve/delivery_queue.h), and service counters.
+// trip lifecycle, thread-safe ingest, stale-trip eviction, alert delivery,
+// and service counters. Each of those jobs has one code path:
+//   * every ingested point goes through one private wave step over a span
+//     of (trip, point) slots — Feed is a one-slot wave, FeedBatch runs
+//     waves up to FleetConfig::micro_batch wide, and the Submit pipeline of
+//     serve/ingest_queue.h drains its lanes through FeedBatch;
+//   * every sink callback is one DeliveryEvent through one dispatch
+//     (serve/delivery_queue.h), called inline or by the async drainer;
+//   * every persisted counter is one entry of io::kFleetCounterFields
+//     (io/fleet_snapshot.h), which Stats, DumpMetrics, Snapshot and Restore
+//     all loop over.
 //
 // Locking is two-level so throughput scales with cores:
 //   * a per-shard mutex guards only the vehicle -> trip map (insert, lookup,
@@ -24,12 +31,13 @@
 // member carries an RL4OASD_GUARDED_BY annotation verified by Clang's
 // -Wthread-safety (the clang CI job builds with it as -Werror), and in
 // debug builds the common::Mutex rank checker asserts the
-// shard -> trip -> model acquisition hierarchy — including FeedBatch's
-// address-ordered same-rank wave locking — at runtime. See
+// shard -> trip -> model acquisition hierarchy — including the wave step's
+// address-ordered same-rank trip locking — at runtime. See
 // docs/STATIC_ANALYSIS.md and the lock-hierarchy table in
 // docs/ARCHITECTURE.md.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -45,12 +53,14 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "core/rl4oasd.h"
+#include "io/fleet_snapshot.h"
 #include "serve/ingest_guard.h"
 #include "traj/types.h"
 
 namespace rl4oasd::serve {
 
 class AlertDeliveryQueue;  // serve/delivery_queue.h
+struct DeliveryEvent;      // serve/delivery_queue.h
 class IngestPipeline;      // serve/ingest_queue.h
 
 /// An anomalous subtrajectory alert for one vehicle. Emitted as soon as the
@@ -78,24 +88,26 @@ struct Alert {
   size_t position = 0;
 };
 
-/// Alert delivery interface. Delivery has two modes:
+/// Alert delivery interface. Every callback is captured by value as a
+/// DeliveryEvent under the reporting trip's lock and handed to one dispatch
+/// (serve::Deliver in serve/delivery_queue.h). FleetConfig::async_alerts
+/// only chooses who calls it:
 ///
-///   * Synchronous (default, FleetConfig::async_alerts == false): callbacks
-///     are invoked under the reporting trip's lock — never under a shard
-///     lock — and during a FeedBatch wave the other wave trips' locks (up
-///     to FleetConfig::micro_batch of them) are also held, so a slow sink
+///   * Synchronous (default, async_alerts == false): the monitor calls it
+///     inline, under the reporting trip's lock — never under a shard lock.
+///     During a FeedBatch wave the other wave trips' locks (up to
+///     FleetConfig::micro_batch of them) are also held, so a slow sink
 ///     stalls the whole wave, not just one trip.
 ///
-///   * Asynchronous (FleetConfig::async_alerts == true): every callback is
-///     captured by value as a DeliveryEvent, sequence-numbered *under the
-///     reporting trip's lock*, and enqueued on a bounded delivery queue
-///     (serve/delivery_queue.h); a dedicated drainer thread invokes the
-///     sink in sequence order with **no monitor lock held**, so a slow sink
-///     backs up only the queue — ingest keeps flowing until the queue
-///     itself fills, at which point enqueueing blocks (bounded memory,
-///     never a dropped event). Use FleetMonitor::Quiesce() to wait until
-///     everything emitted so far has been delivered; the monitor's
-///     destructor delivers the backlog before returning.
+///   * Asynchronous (async_alerts == true): the event is sequence-numbered
+///     *under the reporting trip's lock* and enqueued on a bounded delivery
+///     queue; a dedicated drainer thread invokes the sink in sequence order
+///     with **no monitor lock held**, so a slow sink backs up only the
+///     queue — ingest keeps flowing until the queue itself fills, at which
+///     point enqueueing blocks (bounded memory, never a dropped event). Use
+///     FleetMonitor::Quiesce() to wait until everything emitted so far has
+///     been delivered; the monitor's destructor delivers the backlog before
+///     returning.
 ///
 /// In both modes, implementations must not call back into the monitor: the
 /// synchronous path would re-enter while holding trip locks, and an async
@@ -261,9 +273,9 @@ struct FleetConfig {
   size_t num_shards = 16;
   /// Maximum number of trips whose model steps FeedBatch fuses into one
   /// batched forward (the micro-batch width). 1 disables fusion (every
-  /// point is its own width-1 step, as in Feed). Larger widths amortize the
-  /// RSRNet/ASDNet matmuls across trips but hold that many trip locks for
-  /// the duration of one fused step.
+  /// point is its own one-slot wave, which is what Feed runs). Larger
+  /// widths amortize the RSRNet/ASDNet matmuls across trips but hold that
+  /// many trip locks for the duration of one fused step.
   size_t micro_batch = 128;
   /// Number of ingest worker threads behind Submit/SubmitBatch. 0 disables
   /// the async ingest pipeline entirely (Submit fails; Feed/FeedBatch are
@@ -302,13 +314,28 @@ struct FleetConfig {
   IngestGuardConfig guard;
 };
 
-/// Service counters (monotonic since construction).
-struct FleetStats {
-  int64_t trips_started = 0;
-  int64_t trips_finished = 0;
-  int64_t points_processed = 0;
-  int64_t alerts_emitted = 0;
-  int64_t trips_evicted = 0;
+/// Service counters (monotonic since construction). The inherited
+/// io::FleetCounters are persisted in fleet snapshots and resume on
+/// Restore; their meanings:
+///   * trips_started / trips_finished / trips_evicted: trip lifecycle
+///     (started == finished + evicted + active in quiescence);
+///   * points_processed: points a session consumed; alerts_emitted: alerts
+///     handed to the sink dispatch.
+///   * Ingest-guard counters (serve/ingest_guard.h). The per-class
+///     detections (the guard_* members, one per IngestGuard::Anomaly) tick
+///     under every policy, kPassThrough included. The disposition counters
+///     partition the points the guard removed:
+///       points offered to Feed/FeedBatch ==
+///           points_processed + points_rejected + points_quarantine_dropped
+///     for points whose vehicle had an active trip. points_repaired counts
+///     points accepted with a clamped timestamp; points_rejected those a
+///     kReject/kRepair policy dropped outside quarantine;
+///     points_quarantine_dropped those dropped because their trip was
+///     quarantined (including the tipping point). trips_quarantined /
+///     trips_recovered count quarantine episodes entered and left;
+///     quarantine_evictions the evictions the quarantine point budget
+///     forced (a subset of trips_evicted).
+struct FleetStats : io::FleetCounters {
   /// Submit-path points accepted into a staging lane (0 when
   /// ingest_workers == 0; Feed/FeedBatch points count only in
   /// points_processed). After Quiesce, points_submitted ==
@@ -322,32 +349,6 @@ struct FleetStats {
   /// alerts_emitted once Quiesce returns; lags it by the queue backlog
   /// under load. With async_alerts off, mirrors alerts_emitted.
   int64_t alerts_delivered = 0;
-
-  // -- Ingest-guard counters (serve/ingest_guard.h) ------------------------
-  //
-  // Per-class detections tick under every policy (kPassThrough included).
-  // Disposition counters partition the points the guard removed:
-  //   points offered to Feed/FeedBatch ==
-  //       points_processed + points_rejected + points_quarantine_dropped
-  // for points whose vehicle had an active trip.
-  int64_t guard_duplicates = 0;
-  int64_t guard_out_of_order = 0;
-  int64_t guard_clock_skew = 0;
-  int64_t guard_dropout_gaps = 0;
-  int64_t guard_teleports = 0;
-  int64_t guard_invalid_edges = 0;
-  /// Points accepted with a repaired (clamped) timestamp.
-  int64_t points_repaired = 0;
-  /// Points dropped by a kReject/kRepair policy outside quarantine.
-  int64_t points_rejected = 0;
-  /// Points dropped because their trip was quarantined (including the
-  /// tipping point).
-  int64_t points_quarantine_dropped = 0;
-  /// Quarantine episodes entered / recovered from; evictions forced by the
-  /// quarantine point budget (a subset of trips_evicted).
-  int64_t trips_quarantined = 0;
-  int64_t trips_recovered = 0;
-  int64_t quarantine_evictions = 0;
 };
 
 /// Concurrent multi-trip online detector over one trained model. The model
@@ -381,7 +382,11 @@ class FleetMonitor {
 
   /// Feeds the next road segment of a vehicle's active trip. Returns the
   /// (pre-delayed-labeling) label of the segment, emitting alerts to the
-  /// sink when an anomalous run becomes final.
+  /// sink when an anomalous run becomes final. NotFound when the vehicle
+  /// has no active trip; InvalidArgument when the ingest guard rejected the
+  /// point; ResourceExhausted when the trip is quarantined. This is the
+  /// one-slot case of FeedBatch's wave step: one shard lock and one trip
+  /// lock, no allocation, and the model mutex only after a SwapModel.
   Result<int> Feed(int64_t vehicle_id, traj::EdgeId edge, double timestamp);
 
   /// Batched ingest with micro-batching: resolves every point's trip with
@@ -395,7 +400,9 @@ class FleetMonitor {
   /// (successive points of one vehicle land in successive waves). Points
   /// without an active trip are skipped; points whose trip ends mid-batch
   /// fall back to Feed, which re-resolves (delivering to the vehicle's next
-  /// trip if one already started). Returns the number of points fed.
+  /// trip if one already started). A trip that a racing SwapModel moved
+  /// past a wave's model waits for the next wave. Returns the number of
+  /// points fed.
   ///
   /// A wave locks all its trips for the duration of the fused step, in a
   /// globally consistent order (Trip address), so concurrent FeedBatch
@@ -465,8 +472,11 @@ class FleetMonitor {
   Result<bool> TripQuarantined(int64_t vehicle_id);
 
   /// Plain-text metrics dump: every FleetStats counter plus the active-trip
-  /// gauge and model generation, one `name value` line each, sorted stable.
-  /// The serving-side metrics endpoint (oasd_simulate prints it in its
+  /// gauge and model generation, one `name value` line each. The persisted
+  /// counters come first, in snapshot order under their
+  /// io::kFleetCounterFields names, then the unpersisted counters and the
+  /// gauges; consumers look lines up by name, not position. The
+  /// serving-side metrics endpoint (oasd_simulate prints it in its
   /// end-of-run summary; DriftAdapter::DumpMetrics appends the drift loop).
   std::string DumpMetrics() const;
 
@@ -582,8 +592,8 @@ class FleetMonitor {
     }
 
     /// Guards session, handle, and finished. Rank kFleetTrip: multiple trip
-    /// locks are held together only by FeedBatch waves, in ascending
-    /// address order (what the debug checker's same-rank rule asserts).
+    /// locks are held together only by the wave step, in ascending address
+    /// order (what the debug checker's same-rank rule asserts).
     common::Mutex mu{common::lockrank::kFleetTrip};
     core::OnlineDetector::Session session RL4OASD_GUARDED_BY(mu);
     /// The model the session is currently primed against. Lags the
@@ -609,30 +619,22 @@ class FleetMonitor {
     IngestGuard::State guard RL4OASD_GUARDED_BY(mu);
   };
 
+  using Counters = io::FleetCounters;
+
   /// Monotonic service counters, bumped with relaxed ordering. Relaxed is
   /// deliberate (audited): each counter is independent — nothing reads two
   /// of them transactionally — and Stats() only needs per-counter totals,
   /// which the quiesce/join edge preceding any exact assertion already
   /// orders. Per-shard so concurrent ingest never contends on one line.
+  /// Indexed like io::kFleetCounterFields.
   struct ShardCounters {
-    std::atomic<int64_t> trips_started{0};
-    std::atomic<int64_t> trips_finished{0};
-    std::atomic<int64_t> points_processed{0};
-    std::atomic<int64_t> alerts_emitted{0};
-    std::atomic<int64_t> trips_evicted{0};
-    // Ingest-guard counters (see FleetStats for semantics).
-    std::atomic<int64_t> guard_duplicates{0};
-    std::atomic<int64_t> guard_out_of_order{0};
-    std::atomic<int64_t> guard_clock_skew{0};
-    std::atomic<int64_t> guard_dropout_gaps{0};
-    std::atomic<int64_t> guard_teleports{0};
-    std::atomic<int64_t> guard_invalid_edges{0};
-    std::atomic<int64_t> points_repaired{0};
-    std::atomic<int64_t> points_rejected{0};
-    std::atomic<int64_t> points_quarantine_dropped{0};
-    std::atomic<int64_t> trips_quarantined{0};
-    std::atomic<int64_t> trips_recovered{0};
-    std::atomic<int64_t> quarantine_evictions{0};
+    std::array<std::atomic<int64_t>, io::kNumFleetCounters> values{};
+
+    template <int64_t Counters::*kMember>
+    void Add(int64_t n = 1) {
+      values[io::FleetCounterIndex(kMember)].fetch_add(
+          n, std::memory_order_relaxed);
+    }
   };
 
   struct alignas(64) Shard {
@@ -653,10 +655,12 @@ class FleetMonitor {
   /// Looks up a trip under the shard lock; null when absent.
   std::shared_ptr<Trip> ResolveTrip(Shard& shard, int64_t vehicle_id);
 
-  /// Drains the session's newly finalized runs and delivers them to the
-  /// sink. Caller holds trip->mu (compiler-enforced).
+  /// Drains the session's newly finalized runs — plus, with
+  /// `with_open_run`, the still-open run an eviction must not drop — and
+  /// emits one alert each. Caller holds trip->mu (compiler-enforced).
   void EmitNewRuns(int64_t vehicle_id, Trip* trip, Shard* shard,
-                   double timestamp) RL4OASD_REQUIRES(trip->mu);
+                   double timestamp, bool with_open_run = false)
+      RL4OASD_REQUIRES(trip->mu);
 
   /// Finishes a trip already removed from its shard map by eviction:
   /// alerts the open tail, fires OnTripEvicted, updates counters. Acquires
@@ -680,7 +684,7 @@ class FleetMonitor {
 
   /// Runs the ingest guard over one point under the trip's lock: advances
   /// the trip's guard state, bumps the per-class/disposition counters,
-  /// fires OnTripQuarantined on a quarantine entry, and rewrites
+  /// emits OnTripQuarantined on a quarantine entry, and rewrites
   /// `*timestamp` to the trip's monotone clock (what last_update and alert
   /// timestamps record).
   GuardVerdict ApplyGuard(int64_t vehicle_id, Trip* trip, Shard* shard,
@@ -694,19 +698,45 @@ class FleetMonitor {
   void EvictQuarantined(int64_t vehicle_id, Trip* trip)
       RL4OASD_EXCLUDES(trip->mu);
 
-  // Sink dispatch: inline under the caller's trip lock (synchronous mode)
-  // or value-captured onto the delivery queue (async_alerts). All no-ops
-  // when sink_ is null. Counter bumps stay at the call sites.
-  void SinkAlert(const Alert& alert);
-  void SinkTripEnd(int64_t vehicle_id, const std::vector<uint8_t>& labels);
-  void SinkTripEvicted(int64_t vehicle_id, double start_time,
-                       const std::vector<uint8_t>& labels);
-  void SinkTripFinalized(int64_t vehicle_id, traj::SdPair sd,
-                         double start_time,
-                         const std::vector<traj::EdgeId>& edges,
-                         const std::vector<uint8_t>& labels);
-  void SinkTripQuarantined(int64_t vehicle_id, double start_time,
-                           int64_t malformed_points);
+  /// One (trip, point) slot of a wave step, and what became of it.
+  struct WaveSlot {
+    enum class Outcome : uint8_t {
+      kFed,          // the session consumed the point; `label` is set
+      kRejected,     // dropped by a kReject/kRepair guard policy
+      kQuarantined,  // dropped because the trip is quarantined
+      kFinished,     // the trip ended first; re-resolve the vehicle
+      kDeferred,     // a racing SwapModel moved the trip past the wave's
+                     // model; the guard has not seen the point, retry it
+    };
+    Trip* trip;
+    Shard* shard;
+    int64_t vehicle_id;
+    traj::EdgeId edge;
+    /// Rewritten to the trip's monotone clock by the guard.
+    double timestamp;
+    Outcome outcome = Outcome::kFed;
+    /// The trip exhausted its quarantine point budget; the step evicts it
+    /// once every wave lock is released.
+    bool evict = false;
+    int label = 0;
+    /// trip->mu, held by the step from locking to release.
+    common::UniqueLock lock{};
+  };
+
+  /// The one per-point ingest step. `slots` name distinct trips in
+  /// std::less<Trip*> order, each kept alive by the caller. Locks every
+  /// slot's trip in that order, then per trip: checks `finished`, migrates
+  /// a trip a SwapModel left behind, defers a trip whose model differs
+  /// from the wave's (the first live trip's), runs the ingest guard and
+  /// stores last_update. The accepted points advance in one fused
+  /// OnlineDetector::FeedBatch, then their alerts and counters are
+  /// emitted. Quarantine evictions run after every lock is released.
+  void StepWave(std::span<WaveSlot> slots);
+
+  /// The one sink dispatch: calls Deliver inline (synchronous mode, under
+  /// the caller's trip lock) or enqueues the event (async_alerts). A no-op
+  /// when sink_ is null. Counter bumps stay at the call sites.
+  void Emit(DeliveryEvent event);
 
   /// The current model handle (shared_ptr copy under model_mu_, so a
   /// concurrent SwapModel can never hand out a torn read).
@@ -738,7 +768,7 @@ class FleetMonitor {
   std::shared_ptr<const ModelHandle> model_handle_
       RL4OASD_GUARDED_BY(model_mu_);
   /// Mirror of model_handle_->generation, readable without model_mu_: the
-  /// per-point Feed path compares it against the trip's pinned generation
+  /// wave step compares it against each trip's pinned generation
   /// and only pays the mutex + shared_ptr copy when a swap actually
   /// happened (a stale read just delays migration by one point, which is
   /// indistinguishable from the point arriving before the swap).

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -392,6 +393,21 @@ TEST_P(FleetSnapshotFuzz, NegativeCounterRejectedOnRestore) {
   // trips_finished sits at payload offset 24 + 8 (second stats i64).
   const int64_t lie = -5;
   PatchPayloadWithValidCrc(path_, 32, &lie, 8);
+  const Status st = TryRestore();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+}
+
+TEST_P(FleetSnapshotFuzz, CounterSumOverflowRejectedOnRestore) {
+  BuildSnapshot("fuzz");
+  // Each counter is non-negative, but Restore derives trips_started as
+  // trips_finished (offset 32) + trips_evicted (offset 56) + live trips,
+  // which would overflow int64.
+  const int64_t finished = std::numeric_limits<int64_t>::max();
+  const int64_t evicted = 1;
+  PatchPayloadWithValidCrc(path_, 32, &finished, 8);
+  PatchPayloadWithValidCrc(path_, 56, &evicted, 8);
+  EXPECT_FALSE(io::DescribeFleetSnapshot(path_).ok());
   const Status st = TryRestore();
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();

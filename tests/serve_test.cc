@@ -2,8 +2,11 @@
 // semantics, eviction, service counters, and thread-safe concurrent ingest.
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <span>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -186,6 +189,69 @@ TEST_F(FleetTest, StatsCountAlerts) {
   }
   EXPECT_EQ(monitor.Stats().alerts_emitted,
             static_cast<int64_t>(sink.NumAlerts()));
+}
+
+TEST_F(FleetTest, DumpMetricsNamesAndPersistedValuesArePinned) {
+  CollectingSink sink;
+  FleetMonitor monitor(model_, {}, &sink);
+  int64_t vid = 0;
+  for (size_t i = 0; i < 12; ++i) {
+    const auto& t = (*dataset_)[i].traj;
+    if (t.edges.size() < 2) continue;
+    RunTrip(&monitor, vid++, t);
+  }
+  // A duplicate point (observe-only by default) and an eviction make a
+  // guard counter and trips_evicted non-zero.
+  const auto& t = (*dataset_)[0].traj;
+  ASSERT_TRUE(monitor.StartTrip(vid, t.sd(), t.start_time).ok());
+  ASSERT_TRUE(monitor.Feed(vid, t.edges[0], t.start_time).ok());
+  ASSERT_TRUE(monitor.Feed(vid, t.edges[0], t.start_time).ok());
+  ASSERT_EQ(monitor.EvictStale(t.start_time + 1e9), 1u);
+
+  std::map<std::string, int64_t> lines;
+  std::istringstream dump(monitor.DumpMetrics());
+  std::string name;
+  int64_t value = 0;
+  while (dump >> name >> value) {
+    EXPECT_TRUE(lines.emplace(name, value).second) << "repeated " << name;
+  }
+  std::vector<std::string> names;
+  for (const auto& [n, v] : lines) names.push_back(n);
+  // The full metrics surface, sorted.
+  const std::vector<std::string> expected = {
+      "fleet_alerts_delivered",
+      "fleet_alerts_emitted",
+      "fleet_points_processed",
+      "fleet_points_shed",
+      "fleet_points_submitted",
+      "fleet_trips_active",
+      "fleet_trips_evicted",
+      "fleet_trips_finished",
+      "fleet_trips_started",
+      "guard_clock_skew",
+      "guard_dropout_gaps",
+      "guard_duplicates",
+      "guard_invalid_edges",
+      "guard_out_of_order",
+      "guard_points_quarantine_dropped",
+      "guard_points_rejected",
+      "guard_points_repaired",
+      "guard_quarantine_evictions",
+      "guard_teleports",
+      "guard_trips_quarantined",
+      "guard_trips_recovered",
+      "model_generation",
+  };
+  EXPECT_EQ(names, expected);
+
+  const FleetStats stats = monitor.Stats();
+  EXPECT_EQ(stats.guard_duplicates, 1);
+  EXPECT_EQ(stats.trips_evicted, 1);
+  for (const io::FleetCounterField& f : io::kFleetCounterFields) {
+    const auto it = lines.find(std::string(f.metric));
+    ASSERT_NE(it, lines.end()) << f.metric;
+    EXPECT_EQ(it->second, stats.*f.member) << f.metric;
+  }
 }
 
 TEST_F(FleetTest, EvictStaleDropsIdleTrips) {

@@ -52,8 +52,15 @@ crash_resume(batched --batch 4)
 crash_resume(async --async --batch 4)
 crash_resume(matched --matched-ingest --batch 4)
 
-# The snapshot must describe cleanly (exercises oasd_inspect dispatch).
+# The snapshot must describe cleanly (exercises oasd_inspect dispatch) and
+# list every persisted counter, the ingest-guard ones included.
 run_step(inspect.log ${OASD_INSPECT} ${WORK_DIR}/batched.snap --trips)
+matching_lines(guard_counter_lines "^ +guard_trips_quarantined +[0-9]+$"
+  inspect.log)
+if(NOT guard_counter_lines)
+  message(FATAL_ERROR "oasd_inspect printed no guard_trips_quarantined "
+    "counter line (work dir kept at ${WORK_DIR})")
+endif()
 
 # Mode equivalence on the clean stream: one trip at a time through Feed,
 # four-trip FeedBatch waves, and the async staged pipeline.

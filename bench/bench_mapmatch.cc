@@ -1,15 +1,19 @@
 // Map-matching hot-path bench: the Table V "MapMatch" stage in isolation.
 // Times the seed-era reference kernel against the fast kernel over the same
 // sampled GPS workload (plus a gap-heavy variant), sweeps MatchBatch worker
-// counts, and measures streaming per-point cost. Every timed comparison
-// doubles as an equivalence check — any divergence between reference, fast,
-// and streaming output fails the bench with a nonzero exit, so the ctest
-// smoke registration guards the exactness contract too.
+// counts, and measures streaming per-point cost twice: one trajectory at a
+// time (warm per-vehicle state), and interleaved — many live streams fed
+// round-robin, one fix each per turn, the shape of a fleet service, where
+// every fix lands on a cold stream. Every timed comparison doubles as an
+// equivalence check — any divergence between reference, fast, and streaming
+// output fails the bench with a nonzero exit, so the ctest smoke
+// registration guards the exactness contract too.
 //
 // Flags:
 //   --tiny         small workload (seconds; registered with ctest)
 //   --json <path>  machine-readable results — CI uploads BENCH_mapmatch.json
 //   --threads <n>  max worker count for the MatchBatch sweep (default 8)
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -62,12 +66,76 @@ struct StageResult {
   double reference_s = 0.0;
   double fast_s = 0.0;
   double streaming_s = 0.0;
+  size_t streams = 0;  // live streams of the interleaved row
+  size_t interleaved_points = 0;
+  double interleaved_s = 0.0;
   std::vector<std::pair<int, double>> batch;  // (threads, seconds)
   bool equal = true;
 };
 
+/// Interleaved streaming: `streams` live StreamingMatchers fed round-robin,
+/// one fix each per turn. Stream k (k < max(trajs, streams)) replays
+/// trajectory k % trajs; a slot whose trajectory ends is Finish()ed and
+/// refilled with the next unstarted stream. Compares every stream's Finish()
+/// with batch Match() of its trajectory.
+void RunInterleaved(const mapmatch::HmmMapMatcher& matcher, const Workload& w,
+                    const std::vector<Result<traj::MapMatchedTrajectory>>& fast,
+                    size_t streams, StageResult* r) {
+  const size_t n = w.raws.size();
+  const size_t total = std::max(n, streams);
+  struct Slot {
+    mapmatch::StreamingMatcher matcher;
+    size_t stream = 0;
+    size_t pos = 0;
+  };
+  std::vector<Slot> slots;
+  slots.reserve(std::min(streams, total));
+  size_t next = 0;
+  for (; next < std::min(streams, total); ++next) {
+    slots.push_back({mapmatch::StreamingMatcher(&matcher), next, 0});
+  }
+  std::vector<Result<traj::MapMatchedTrajectory>> finished;
+  finished.reserve(total);
+  for (size_t k = 0; k < total; ++k) {
+    finished.emplace_back(Status::Internal("stream not finished"));
+  }
+  r->streams = slots.size();
+  r->interleaved_points = 0;
+  Stopwatch sw;
+  while (!slots.empty()) {
+    for (size_t i = 0; i < slots.size();) {
+      Slot& s = slots[i];
+      const traj::RawTrajectory& raw = w.raws[s.stream % n];
+      if (s.pos == 0) s.matcher.Reset(raw.id);
+      s.matcher.MatchPoint(raw.points[s.pos]);
+      ++r->interleaved_points;
+      if (++s.pos < raw.points.size()) {
+        ++i;
+        continue;
+      }
+      finished[s.stream] = s.matcher.Finish();
+      if (next < total) {
+        s.stream = next++;
+        s.pos = 0;
+        ++i;
+      } else {
+        slots[i] = std::move(slots.back());
+        slots.pop_back();
+      }
+    }
+  }
+  r->interleaved_s = sw.ElapsedSeconds();
+  for (size_t k = 0; k < total; ++k) {
+    if (!SameResult(finished[k], fast[k % n])) {
+      std::fprintf(stderr, "MISMATCH interleaved streaming vs fast: %s stream %zu\n",
+                   w.name.c_str(), k);
+      r->equal = false;
+    }
+  }
+}
+
 StageResult RunWorkload(const mapmatch::HmmMapMatcher& matcher,
-                        const Workload& w, int max_threads) {
+                        const Workload& w, int max_threads, size_t streams) {
   StageResult r;
   r.workload = w.name;
   r.trajs = w.raws.size();
@@ -127,6 +195,7 @@ StageResult RunWorkload(const mapmatch::HmmMapMatcher& matcher,
       r.equal = false;
     }
   }
+  RunInterleaved(matcher, w, fast, streams, &r);
   return r;
 }
 
@@ -144,6 +213,10 @@ void PrintStage(const StageResult& r) {
   }
   std::printf("%-28s %10.3f s  (%8.2f us/point)\n", "streaming",
               r.streaming_s, 1e6 * r.streaming_s / r.points);
+  char label[64];
+  std::snprintf(label, sizeof label, "interleaved (%zu streams)", r.streams);
+  std::printf("%-28s %10.3f s  (%8.2f us/point)\n", label, r.interleaved_s,
+              1e6 * r.interleaved_s / r.interleaved_points);
   std::printf("%-28s %s\n\n", "outputs identical",
               r.equal ? "yes" : "NO (FAILURE)");
 }
@@ -160,9 +233,12 @@ void WriteJson(const std::string& path, const std::vector<StageResult>& rows) {
     std::fprintf(f,
                  "    {\"workload\": \"%s\", \"trajs\": %zu, \"points\": %zu, "
                  "\"reference_s\": %.4f, \"fast_s\": %.4f, \"speedup\": %.2f, "
-                 "\"streaming_s\": %.4f, \"equal\": %s, \"batch\": [",
+                 "\"streaming_s\": %.4f, \"streams\": %zu, "
+                 "\"interleaved_points\": %zu, \"interleaved_s\": %.4f, "
+                 "\"equal\": %s, \"batch\": [",
                  r.workload.c_str(), r.trajs, r.points, r.reference_s,
-                 r.fast_s, r.reference_s / r.fast_s, r.streaming_s,
+                 r.fast_s, r.reference_s / r.fast_s, r.streaming_s, r.streams,
+                 r.interleaved_points, r.interleaved_s,
                  r.equal ? "true" : "false");
     for (size_t b = 0; b < r.batch.size(); ++b) {
       std::fprintf(f, "{\"threads\": %d, \"seconds\": %.4f}%s",
@@ -192,6 +268,9 @@ int main(int argc, char** argv) {
   const bool tiny = flags.GetBool("tiny");
   const int max_threads = static_cast<int>(flags.GetInt("threads"));
   const size_t count = tiny ? 120 : 600;
+  // Live streams of the interleaved row: the full run matches gps_fleet's
+  // 1,000 live vehicles per client.
+  const size_t streams = tiny ? 100 : 1000;
 
   std::printf("=== Map matching: Table V stage attribution ===\n\n");
   auto city = bench::MakeChengduLike(/*num_pairs=*/tiny ? 12 : 40, /*seed=*/12);
@@ -202,9 +281,11 @@ int main(int argc, char** argv) {
   // timed and checked path as well.
   std::vector<StageResult> rows;
   rows.push_back(RunWorkload(
-      matcher, SampleWorkload(city, "clean", count, 0.0, 5), max_threads));
-  rows.push_back(RunWorkload(
-      matcher, SampleWorkload(city, "gappy", count / 2, 0.2, 6), max_threads));
+      matcher, SampleWorkload(city, "clean", count, 0.0, 5), max_threads,
+      streams));
+  rows.push_back(RunWorkload(matcher,
+                             SampleWorkload(city, "gappy", count / 2, 0.2, 6),
+                             max_threads, streams));
   for (const auto& r : rows) PrintStage(r);
 
   if (!flags.GetString("json").empty()) {

@@ -50,13 +50,17 @@ double LogEmission(double d, double sigma) {
   return -0.5 * (d / sigma) * (d / sigma);
 }
 
-/// First maximum over a layer's score slice — the pinned segment-end
-/// tie-break (lowest candidate index in the (distance, edge id) order).
+/// Layers ahead of the backtrack cursor whose nodes Decode prefetches.
+constexpr size_t kBacktrackPrefetch = 8;
+
+/// First maximum over a layer's scores — the pinned segment-end tie-break
+/// (lowest candidate index in the (distance, edge id) order).
 uint32_t ArgmaxLayer(const internal::Lattice& lat, size_t t) {
   const internal::Layer& ly = lat.layers[t];
+  const internal::Node* node = lat.nodes.data() + ly.first;
   uint32_t best = 0;
   for (uint32_t c = 1; c < ly.count; ++c) {
-    if (lat.score[ly.first + c] > lat.score[ly.first + best]) best = c;
+    if (node[c].score > node[best].score) best = c;
   }
   return best;
 }
@@ -73,8 +77,7 @@ bool AppendLayer(const HmmMapMatcher& matcher, const traj::RawPoint& pt,
 
   if (kernel == Kernel::kFast) {
     matcher.index().QueryInto(pt.pos, cfg.candidate_radius_m,
-                              cfg.max_candidates, &scratch->query,
-                              &scratch->qcands);
+                              cfg.max_candidates, &scratch->qcands);
   } else {
     // The reference kernel also pays the seed query's cost model (full cell
     // square, hash-set dedup, per-call allocations); the candidates are
@@ -88,29 +91,24 @@ bool AppendLayer(const HmmMapMatcher& matcher, const traj::RawPoint& pt,
   ly.point_index = point_index;
   ly.pos = pt.pos;
   ly.t = pt.t;
-  ly.first = static_cast<uint32_t>(lat->cands.size());
+  ly.first = static_cast<uint32_t>(lat->nodes.size());
   ly.count = static_cast<uint32_t>(scratch->qcands.size());
-  lat->cands.insert(lat->cands.end(), scratch->qcands.begin(),
-                    scratch->qcands.end());
-  lat->score.resize(lat->cands.size(), kNegInf);
-  lat->back.resize(lat->cands.size(), -1);
-
-  double* score = lat->score.data() + ly.first;
-  int32_t* back = lat->back.data() + ly.first;
-  const EdgeCandidate* cand = lat->cands.data() + ly.first;
+  for (const EdgeCandidate& c : scratch->qcands) {
+    lat->nodes.push_back({c.edge, -1, c.distance_m, kNegInf});
+  }
+  Node* node = lat->nodes.data() + ly.first;
 
   if (lat->layers.empty()) {
     ly.segment_start = true;
     for (uint32_t c = 0; c < ly.count; ++c) {
-      score[c] = LogEmission(cand[c].distance_m, cfg.gps_sigma_m);
+      node[c].score = LogEmission(node[c].distance_m, cfg.gps_sigma_m);
     }
     lat->layers.push_back(ly);
     return true;
   }
 
   const Layer& prev = lat->layers.back();
-  const double* score_prev = lat->score.data() + prev.first;
-  const EdgeCandidate* cand_prev = lat->cands.data() + prev.first;
+  const Node* node_prev = lat->nodes.data() + prev.first;
   const double gc = roadnet::ApproxDistanceMeters(prev.pos, ly.pos);
   const double beta_m = 50.0 * cfg.transition_beta;
   const double max_net = std::max(gc * cfg.max_network_detour, gc + 300.0);
@@ -123,41 +121,43 @@ bool AppendLayer(const HmmMapMatcher& matcher, const traj::RawPoint& pt,
     // sources yield the same distances: a table entry is a settled
     // EdgeDijkstra distance, a table miss or an entry beyond max_net means
     // a live search bounded by max_net would not reach the edge either.
-    // score[] doubles as the running best transition score per candidate
-    // until emissions are added.
+    // node[].score doubles as the running best transition score per
+    // candidate until emissions are added.
     const roadnet::EdgeDistanceTable& table = matcher.transition_table();
     const bool use_table = table.built() && max_net <= table.bound_m();
     if (!use_table) {
       scratch->targets.clear();
       for (uint32_t c = 0; c < ly.count; ++c) {
-        scratch->targets.push_back(cand[c].edge);
+        scratch->targets.push_back(node[c].edge);
       }
       scratch->dijkstra.Attach(&net);
       scratch->dijkstra.SetTargets(scratch->targets.data(),
                                    scratch->targets.size());
     }
     for (uint32_t p = 0; p < prev.count; ++p) {
-      if (score_prev[p] == kNegInf) continue;
+      const double score_p = node_prev[p].score;
+      if (score_p == kNegInf) continue;
       // Exact dominance pruning: log_trans <= 0, so p's best possible score
-      // is score_prev[p]; when even that cannot beat (strict >) the weakest
+      // is its own score; when even that cannot beat (strict >) the weakest
       // current best, p cannot change any candidate's score or back pointer.
-      double min_best = score[0];
+      double min_best = node[0].score;
       for (uint32_t c = 1; c < ly.count; ++c) {
-        min_best = std::min(min_best, score[c]);
+        min_best = std::min(min_best, node[c].score);
       }
-      if (score_prev[p] <= min_best) continue;
-      if (!use_table) scratch->dijkstra.Run(cand_prev[p].edge, max_net);
+      if (score_p <= min_best) continue;
+      const roadnet::EdgeId edge_p = node_prev[p].edge;
+      if (!use_table) scratch->dijkstra.Run(edge_p, max_net);
       for (uint32_t c = 0; c < ly.count; ++c) {
         const double d = use_table
-                             ? table.DistanceTo(cand_prev[p].edge, cand[c].edge)
-                             : scratch->dijkstra.DistanceTo(cand[c].edge);
+                             ? table.DistanceTo(edge_p, node[c].edge)
+                             : scratch->dijkstra.DistanceTo(node[c].edge);
         if (d < 0.0 || d > max_net) continue;
-        const double s = score_prev[p] - std::abs(gc - d) / beta_m;
+        const double s = score_p - std::abs(gc - d) / beta_m;
         // Strict >: ties keep the lowest p, matching the reference kernel's
         // first-max over ascending p.
-        if (s > score[c]) {
-          score[c] = s;
-          back[c] = static_cast<int32_t>(p);
+        if (s > node[c].score) {
+          node[c].score = s;
+          node[c].back = static_cast<int32_t>(p);
         }
       }
     }
@@ -167,39 +167,40 @@ bool AppendLayer(const HmmMapMatcher& matcher, const traj::RawPoint& pt,
     std::vector<std::unordered_map<roadnet::EdgeId, double>> netdist(
         prev.count);
     for (uint32_t p = 0; p < prev.count; ++p) {
-      netdist[p] = BoundedEdgeDistances(net, cand_prev[p].edge, max_net);
+      netdist[p] = BoundedEdgeDistances(net, node_prev[p].edge, max_net);
     }
     for (uint32_t c = 0; c < ly.count; ++c) {
       double best = kNegInf;
       int32_t best_p = -1;
       for (uint32_t p = 0; p < prev.count; ++p) {
-        if (score_prev[p] == kNegInf) continue;
-        auto it = netdist[p].find(cand[c].edge);
+        if (node_prev[p].score == kNegInf) continue;
+        auto it = netdist[p].find(node[c].edge);
         if (it == netdist[p].end()) continue;
-        const double s = score_prev[p] - std::abs(gc - it->second) / beta_m;
+        const double s =
+            node_prev[p].score - std::abs(gc - it->second) / beta_m;
         if (s > best) {
           best = s;
           best_p = static_cast<int32_t>(p);
         }
       }
-      score[c] = best;
-      back[c] = best_p;
+      node[c].score = best;
+      node[c].back = best_p;
     }
   }
 
   bool any = false;
   for (uint32_t c = 0; c < ly.count; ++c) {
-    if (back[c] >= 0) {
+    if (node[c].back >= 0) {
       any = true;
       break;
     }
   }
   if (any) {
     for (uint32_t c = 0; c < ly.count; ++c) {
-      if (back[c] >= 0) {
-        score[c] += LogEmission(cand[c].distance_m, cfg.gps_sigma_m);
+      if (node[c].back >= 0) {
+        node[c].score += LogEmission(node[c].distance_m, cfg.gps_sigma_m);
       } else {
-        score[c] = kNegInf;
+        node[c].score = kNegInf;
       }
     }
   } else {
@@ -208,8 +209,8 @@ bool AppendLayer(const HmmMapMatcher& matcher, const traj::RawPoint& pt,
     // emission-only scores; the gap policy decides bridging at decode time.
     ly.segment_start = true;
     for (uint32_t c = 0; c < ly.count; ++c) {
-      score[c] = LogEmission(cand[c].distance_m, cfg.gps_sigma_m);
-      back[c] = -1;
+      node[c].score = LogEmission(node[c].distance_m, cfg.gps_sigma_m);
+      node[c].back = -1;
     }
   }
   lat->layers.push_back(ly);
@@ -232,12 +233,22 @@ Result<DecodedPieces> Decode(const HmmMapMatcher& matcher, const Lattice& lat,
   std::vector<uint32_t> chosen(num_layers);
   uint32_t cur = ArgmaxLayer(lat, num_layers - 1);
   for (size_t t = num_layers; t-- > 0;) {
+    // The back-pointer chase is a chain of dependent loads over a lattice
+    // gone cold while the vehicle's trip ran, but the node range each step
+    // lands in is known in advance: prefetch the first and last node of a
+    // layer a few steps ahead (a layer is at most max_candidates 24-byte
+    // nodes, a few cache lines).
+    if (t >= kBacktrackPrefetch) {
+      const Layer& ahead = lat.layers[t - kBacktrackPrefetch];
+      __builtin_prefetch(lat.nodes.data() + ahead.first);
+      __builtin_prefetch(lat.nodes.data() + ahead.first + ahead.count - 1);
+    }
     chosen[t] = cur;
     if (t == 0) break;
     if (lat.layers[t].segment_start) {
       cur = ArgmaxLayer(lat, t - 1);
     } else {
-      cur = static_cast<uint32_t>(lat.back[lat.layers[t].first + cur]);
+      cur = static_cast<uint32_t>(lat.nodes[lat.layers[t].first + cur].back);
     }
   }
 
@@ -261,7 +272,7 @@ Result<DecodedPieces> Decode(const HmmMapMatcher& matcher, const Lattice& lat,
 
   for (size_t t = 0; t < num_layers; ++t) {
     const Layer& ly = lat.layers[t];
-    const roadnet::EdgeId e = lat.cands[ly.first + chosen[t]].edge;
+    const roadnet::EdgeId e = lat.nodes[ly.first + chosen[t]].edge;
     const bool boundary = t > 0 && ly.segment_start;
     if (boundary && policy == GapPolicy::kSplit) {
       RL4_RETURN_NOT_OK(flush());

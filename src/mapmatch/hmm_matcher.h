@@ -76,33 +76,41 @@ struct Layer {
   size_t point_index = 0;    // index of the fix in the raw point stream
   roadnet::LatLon pos;       // fix position (transition great-circle anchor)
   double t = 0.0;            // fix timestamp (piece start times)
-  uint32_t first = 0;        // offset into the flattened per-candidate arrays
+  uint32_t first = 0;        // offset of the layer's first node
   uint32_t count = 0;
   bool segment_start = false;  // no scored transition from the previous layer
 };
 
+/// One lattice node: a candidate of one layer with its Viterbi state. The
+/// fields a layer step reads together share one 24-byte record, so a step
+/// touches one cold array, not one per field.
+struct Node {
+  roadnet::EdgeId edge = roadnet::kInvalidEdge;
+  int32_t back = -1;        // best previous-layer candidate; -1 = none
+  double distance_m = 0.0;  // point-to-segment distance (emission input)
+  double score = 0.0;       // best log-probability of a path ending here
+};
+static_assert(sizeof(Node) == 24);
+
 /// Flattened Viterbi lattice, grown one layer at a time (the streaming
-/// matcher appends as fixes arrive; batch matching appends in a loop).
+/// matcher appends as fixes arrive; batch matching appends in a loop). A
+/// layer's nodes are nodes[first, first + count), in the candidate query's
+/// (distance, edge id) order.
 struct Lattice {
   std::vector<Layer> layers;
-  std::vector<EdgeCandidate> cands;  // flattened, layer-major
-  std::vector<double> score;         // parallel to cands
-  std::vector<int32_t> back;         // parallel to cands; -1 = segment start
+  std::vector<Node> nodes;  // layer-major
 
   void Clear() {
     layers.clear();
-    cands.clear();
-    score.clear();
-    back.clear();
+    nodes.clear();
   }
 };
 
-/// Reusable per-thread match state: query buffers, the bounded edge-graph
-/// Dijkstra's epoch-stamped arrays, and the lattice storage. One instance
-/// per thread; reusing one across consecutive Match() calls makes matching
-/// allocation-free in steady state.
+/// Reusable per-thread match state: the candidate query's output buffer,
+/// the bounded edge-graph Dijkstra's epoch-stamped arrays, and the lattice
+/// storage. One instance per thread; reusing one across consecutive Match()
+/// calls makes matching allocation-free in steady state.
 struct MatchScratch {
-  SpatialIndex::QueryScratch query;
   std::vector<EdgeCandidate> qcands;  // per-fix candidate query output
   roadnet::EdgeDijkstra dijkstra;
   std::vector<roadnet::EdgeId> targets;

@@ -2,12 +2,19 @@
 // edges near a GPS fix in O(1) expected time. Queries are exact (identical
 // candidate sets to a brute-force scan over all edges) and deterministic:
 // results are ordered by (distance, edge id), a total order, so neither the
-// cell iteration order nor sort stability can leak into downstream
-// tie-breaking — the map matcher's Viterbi tie-breaks are pinned to this
-// ordering (see docs/ARCHITECTURE.md, "Map matching").
+// cell iteration order nor the order in which edges are first seen can leak
+// into downstream tie-breaking — the map matcher's Viterbi tie-breaks are
+// pinned to this ordering (see docs/ARCHITECTURE.md, "Map matching").
+//
+// Layout: the grid is a dense row-major CSR over the cell extent of the
+// network (one offsets array, one edge-id array; a run of cells in one row
+// is one contiguous id span), and each edge's segment endpoints sit in one
+// flat array indexed by edge id, so a query reads neither a hash table nor
+// the road network.
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "roadnet/road_network.h"
@@ -20,22 +27,10 @@ struct EdgeCandidate {
   double distance_m = 0.0;  // point-to-segment distance
 };
 
-/// Buckets edges by the grid cells their bounding boxes overlap.
+/// Buckets edges by the grid cells their bounding boxes overlap. Immutable
+/// after construction, so any number of threads may query one index.
 class SpatialIndex {
  public:
-  /// Reusable per-thread query buffers. QueryInto with a caller-owned
-  /// scratch allocates nothing in steady state; the index itself stays
-  /// immutable, so any number of threads can query one index as long as
-  /// each brings its own scratch.
-  class QueryScratch {
-   public:
-    QueryScratch() = default;
-
-   private:
-    friend class SpatialIndex;
-    std::vector<roadnet::EdgeId> ids_;
-  };
-
   /// Builds the index with the given cell size (meters).
   explicit SpatialIndex(const roadnet::RoadNetwork* net,
                         double cell_size_m = 250.0);
@@ -45,17 +40,17 @@ class SpatialIndex {
   std::vector<EdgeCandidate> Query(const roadnet::LatLon& p, double radius_m,
                                    size_t max_candidates = 8) const;
 
-  /// Allocation-free query into `out` (cleared first), using the caller's
-  /// scratch buffers. Same results as Query.
+  /// Same results as Query, into `out` (cleared first). Allocation-free
+  /// once `out` has grown to the largest prescreened set.
   void QueryInto(const roadnet::LatLon& p, double radius_m,
-                 size_t max_candidates, QueryScratch* scratch,
-                 std::vector<EdgeCandidate>* out) const;
+                 size_t max_candidates, std::vector<EdgeCandidate>* out) const;
 
   /// The seed-era query, preserved as the reference cost model for
   /// bench_mapmatch: full (2r+1)^2 cell square, hash-set dedup, exact
-  /// distance for every touched edge, fresh allocations per call. Returns
-  /// the same candidates as Query — the only departure from the seed code
-  /// is the final (distance, edge id) sort, which pins the tie order both
+  /// distance (through the road network) for every touched edge, fresh
+  /// allocations per call. It reads the same cell grid as QueryInto and
+  /// returns the same candidates — the only departure from the seed code is
+  /// the final (distance, edge id) sort, which pins the tie order both
   /// kernels share (the seed's distance-only unstable sort left edge order
   /// at equal distance unspecified).
   std::vector<EdgeCandidate> QueryReference(const roadnet::LatLon& p,
@@ -63,27 +58,35 @@ class SpatialIndex {
                                             size_t max_candidates = 8) const;
 
  private:
-  int64_t CellKey(int cx, int cy) const {
-    return (static_cast<int64_t>(cx) << 32) ^ static_cast<uint32_t>(cy);
-  }
+  struct Segment {
+    roadnet::LatLon a;  // position of the edge's `from` vertex
+    roadnet::LatLon b;  // position of the edge's `to` vertex
+  };
+
   int CellX(double lon) const;
   int CellY(double lat) const;
-
-  struct EdgeBox {
-    double min_lat, max_lat, min_lon, max_lon;
-  };
+  /// Edge ids registered in cell (cx, cy), ascending; empty outside the
+  /// grid's extent.
+  std::span<const roadnet::EdgeId> Cell(int cx, int cy) const;
 
   const roadnet::RoadNetwork* net_;
   double cell_deg_lat_;
   double cell_deg_lon_;
   double meters_per_deg_lon_;
-  // Values are ascending edge-id lists (edges are inserted in id order at
-  // build time), so concatenation + sort + unique dedups cheaply.
-  std::unordered_map<int64_t, std::vector<roadnet::EdgeId>> cells_;
-  // Per-edge bounding boxes for the query prescreen: box distance lower-
-  // bounds segment distance, so edges whose box is (conservatively) outside
-  // the radius skip the exact point-to-segment evaluation.
-  std::vector<EdgeBox> boxes_;
+  // Cell extent: cells [x0_, x0_ + nx_) x [y0_, y0_ + ny_). Cell (cx, cy)
+  // holds cell_edges_[cell_start_[i] .. cell_start_[i + 1]) with
+  // i = (cy - y0_) * nx_ + (cx - x0_); each list is ascending (edges are
+  // inserted in id order at build time).
+  int x0_ = 0;
+  int y0_ = 0;
+  int nx_ = 0;
+  int ny_ = 0;
+  std::vector<uint32_t> cell_start_;
+  std::vector<roadnet::EdgeId> cell_edges_;
+  // Per-edge segment endpoints, indexed by edge id. They serve both the
+  // query prescreen (the segment's bounding box, whose distance to the
+  // point lower-bounds the segment distance) and the exact distance.
+  std::vector<Segment> segs_;
 };
 
 }  // namespace rl4oasd::mapmatch

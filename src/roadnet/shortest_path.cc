@@ -191,21 +191,25 @@ void EdgeDistanceTable::Build(const RoadNetwork& net, double bound_m) {
   bound_m_ = bound_m;
   const size_t n = net.NumEdges();
   offsets_.assign(n + 1, 0);
-  entries_.clear();
+  dst_.clear();
+  dist_.clear();
   // Reuses EdgeDijkstra rather than a private search so a table entry is the
   // product of the exact same relaxation sequence as a live query — the
   // bit-equality contract between the two lookup paths is structural, not a
   // numerical coincidence.
   EdgeDijkstra search(&net);
   for (EdgeId src = 0; src < static_cast<EdgeId>(n); ++src) {
-    offsets_[static_cast<size_t>(src)] = entries_.size();
+    offsets_[static_cast<size_t>(src)] = dst_.size();
     search.Run(src, bound_m);
     for (size_t e = 0; e < n; ++e) {
       const double d = search.DistanceTo(static_cast<EdgeId>(e));
-      if (d >= 0.0) entries_.push_back({static_cast<EdgeId>(e), d});
+      if (d >= 0.0) {
+        dst_.push_back(static_cast<EdgeId>(e));
+        dist_.push_back(d);
+      }
     }
   }
-  offsets_[n] = entries_.size();
+  offsets_[n] = dst_.size();
 }
 
 std::vector<std::vector<EdgeId>> AlternativeRoutes(const RoadNetwork& net,

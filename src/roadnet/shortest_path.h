@@ -98,6 +98,11 @@ class EdgeDijkstra {
 /// reachability equals a true-distance comparison because prefix sums of
 /// non-negative edge lengths are monotone). Immutable after Build, so any
 /// number of threads may share one table.
+///
+/// A row is stored split: its destination ids in `dst_` and their
+/// distances in the parallel `dist_`. A lookup binary-searches the 4-byte
+/// keys (a quarter of the bytes of interleaved {id, distance} entries) and
+/// then reads the one distance it needs.
 class EdgeDistanceTable {
  public:
   EdgeDistanceTable() = default;
@@ -107,33 +112,31 @@ class EdgeDistanceTable {
 
   bool built() const { return !offsets_.empty(); }
   double bound_m() const { return bound_m_; }
-  size_t NumEntries() const { return entries_.size(); }
+  size_t NumEntries() const { return dst_.size(); }
 
   /// Distance from `src` to `dst` (0 for src == dst), or a negative value
   /// if it exceeds bound_m. Only valid after Build.
   double DistanceTo(EdgeId src, EdgeId dst) const {
-    const Entry* lo = entries_.data() + offsets_[static_cast<size_t>(src)];
-    const Entry* hi = entries_.data() + offsets_[static_cast<size_t>(src) + 1];
+    const EdgeId* keys = dst_.data();
+    size_t lo = offsets_[static_cast<size_t>(src)];
+    size_t hi = offsets_[static_cast<size_t>(src) + 1];
     while (lo < hi) {
-      const Entry* mid = lo + (hi - lo) / 2;
-      if (mid->dst < dst) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (keys[mid] < dst) {
         lo = mid + 1;
-      } else if (mid->dst > dst) {
+      } else if (keys[mid] > dst) {
         hi = mid;
       } else {
-        return mid->dist;
+        return dist_[mid];
       }
     }
     return -1.0;
   }
 
  private:
-  struct Entry {
-    EdgeId dst;
-    double dist;
-  };
-  std::vector<size_t> offsets_;  // per-source row bounds into entries_
-  std::vector<Entry> entries_;   // rows sorted by dst (built in id order)
+  std::vector<size_t> offsets_;  // per-source row bounds into dst_/dist_
+  std::vector<EdgeId> dst_;      // rows sorted by dst (built in id order)
+  std::vector<double> dist_;     // parallel to dst_
   double bound_m_ = 0.0;
 };
 

@@ -78,10 +78,6 @@ int64_t AlertDeliveryQueue::AlertsDelivered() const {
   return alerts_delivered_.load(kRelaxed);
 }
 
-int64_t AlertDeliveryQueue::EventsDelivered() const {
-  return events_delivered_.load(kRelaxed);
-}
-
 std::vector<int64_t> AlertDeliveryQueue::TakeLatencySamplesNs() {
   common::MutexLock lock(&mu_);
   std::vector<int64_t> out;
@@ -129,7 +125,6 @@ void AlertDeliveryQueue::DrainLoop() {
       if (event.kind == DeliveryEvent::Kind::kAlert) {
         alerts_delivered_.fetch_add(1, kRelaxed);
       }
-      events_delivered_.fetch_add(1, kRelaxed);
       const int64_t latency = clock_.ElapsedNanos() - start_ns;
       common::MutexLock lock(&mu_);
       if (latency_ns_.size() < kLatencyWindow) {

@@ -94,8 +94,6 @@ class AlertDeliveryQueue {
 
   /// OnAlert callbacks completed by the drainer (monotonic).
   int64_t AlertsDelivered() const;
-  /// Events of any kind completed by the drainer (monotonic).
-  int64_t EventsDelivered() const;
 
   /// Drains the enqueue→delivery latency samples collected so far (a
   /// sliding window of the most recent kLatencyWindow deliveries;
@@ -126,7 +124,6 @@ class AlertDeliveryQueue {
   bool latency_wrapped_ RL4OASD_GUARDED_BY(mu_) = false;
 
   std::atomic<int64_t> alerts_delivered_{0};
-  std::atomic<int64_t> events_delivered_{0};
   uint64_t last_delivered_seq_ = 0;  // drainer thread only
 
   std::thread drainer_;

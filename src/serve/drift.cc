@@ -129,6 +129,15 @@ void DriftAdapter::OnTripEvicted(int64_t vehicle_id, double trip_start_time,
   }
 }
 
+void DriftAdapter::OnTripQuarantined(int64_t vehicle_id,
+                                     double trip_start_time,
+                                     int64_t malformed_points) {
+  if (downstream_ != nullptr) {
+    downstream_->OnTripQuarantined(vehicle_id, trip_start_time,
+                                   malformed_points);
+  }
+}
+
 void DriftAdapter::OnTripFinalized(int64_t vehicle_id, traj::SdPair sd,
                                    double start_time,
                                    const std::vector<traj::EdgeId>& edges,

@@ -247,6 +247,8 @@ class DriftAdapter final : public AlertSink {
   void OnTripFinalized(int64_t vehicle_id, traj::SdPair sd, double start_time,
                        const std::vector<traj::EdgeId>& edges,
                        const std::vector<uint8_t>& final_labels) override;
+  void OnTripQuarantined(int64_t vehicle_id, double trip_start_time,
+                         int64_t malformed_points) override;
 
  private:
   /// Drains the pending queue into detector + buffer, then runs one

@@ -7,7 +7,10 @@
 //   2. Streaming == batch: feeding fixes one at a time and calling Finish()
 //      is bit-identical to batch Match() — including mid-stream decodes
 //      against the matching prefix trajectory.
-//   3. MatchBatch is thread-count invariant: any worker count produces the
+//   3. Interleaved streams are independent: many StreamingMatchers fed
+//      round-robin, one fix each per turn, each equal batch Match() — no
+//      per-vehicle lattice or query state is shared between streams.
+//   4. MatchBatch is thread-count invariant: any worker count produces the
 //      same per-index results as sequential Match().
 // This file carries the `concurrency` ctest label so TSAN exercises the
 // MatchBatch sharding.
@@ -134,6 +137,35 @@ TEST_P(MapMatchEquiv, StreamingFinishBitIdenticalToBatch) {
                   (*batch_pieces)[i].start_time);
       }
     }
+  }
+}
+
+TEST_P(MapMatchEquiv, InterleavedStreamsEachMatchBatch) {
+  const EquivCase c = GetParam();
+  const auto net = SmallGrid(c.seed);
+  const auto matcher = MakeMatcher(net, c);
+  const auto raws = SampleCase(net, c, 8);
+  ASSERT_GT(raws.size(), 1u);
+  std::vector<StreamingMatcher> streams;
+  for (const auto& raw : raws) {
+    streams.emplace_back(&matcher);
+    streams.back().Reset(raw.id);
+  }
+  // Stream i starts at turn i, so the streams sit at different fixes of
+  // their trajectories on every turn.
+  size_t turns = 0;
+  for (size_t i = 0; i < raws.size(); ++i) {
+    turns = std::max(turns, i + raws[i].points.size());
+  }
+  for (size_t turn = 0; turn < turns; ++turn) {
+    for (size_t i = 0; i < raws.size(); ++i) {
+      if (turn < i || turn - i >= raws[i].points.size()) continue;
+      streams[i].MatchPoint(raws[i].points[turn - i]);
+    }
+  }
+  for (size_t i = 0; i < raws.size(); ++i) {
+    EXPECT_EQ(streams[i].points_fed(), raws[i].points.size());
+    ExpectSameResult(streams[i].Finish(), matcher.Match(raws[i]));
   }
 }
 

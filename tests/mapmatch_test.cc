@@ -1,9 +1,15 @@
 // Map-matching substrate tests: spatial index correctness and end-to-end
 // HMM matching of noisy synthetic GPS back onto the true route.
+#include <algorithm>
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "mapmatch/hmm_matcher.h"
 #include "mapmatch/spatial_index.h"
+#include "roadnet/grid_city.h"
 #include "test_util.h"
 #include "traj/gps_sampler.h"
 
@@ -143,50 +149,178 @@ TEST(HmmMatcherTest, StartTimeFromFirstMatchedFix) {
   EXPECT_DOUBLE_EQ(matched->start_time, 100.0);
 }
 
+/// Every edge within `radius` of `p`, in the pinned (distance, edge id)
+/// order — the brute-force oracle for the grid index.
+std::vector<EdgeCandidate> BruteForceQuery(const roadnet::RoadNetwork& net,
+                                           const roadnet::LatLon& p,
+                                           double radius) {
+  std::vector<EdgeCandidate> expected;
+  for (roadnet::EdgeId e = 0; e < static_cast<roadnet::EdgeId>(net.NumEdges());
+       ++e) {
+    const auto& edge = net.edge(e);
+    const double d = roadnet::PointToSegmentMeters(
+        p, net.vertex(edge.from).pos, net.vertex(edge.to).pos);
+    if (d <= radius) expected.push_back({e, d});
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const EdgeCandidate& a, const EdgeCandidate& b) {
+              return a.distance_m != b.distance_m ? a.distance_m < b.distance_m
+                                                  : a.edge < b.edge;
+            });
+  return expected;
+}
+
+/// Query, QueryReference and a capped Query at `p` against brute force.
+/// Returns the number of edges in range.
+size_t ExpectQueryMatchesBruteForce(const roadnet::RoadNetwork& net,
+                                    const SpatialIndex& index,
+                                    const roadnet::LatLon& p, double radius) {
+  const auto expected = BruteForceQuery(net, p, radius);
+  const auto where = ::testing::Message()
+                     << "at (" << p.lat << ", " << p.lon << ") radius "
+                     << radius;
+  const auto got = index.Query(p, radius, net.NumEdges());
+  EXPECT_EQ(got.size(), expected.size()) << where;
+  for (size_t i = 0; i < std::min(got.size(), expected.size()); ++i) {
+    EXPECT_EQ(got[i].edge, expected[i].edge) << where;
+    EXPECT_EQ(got[i].distance_m, expected[i].distance_m) << where;
+  }
+  // The seed-era reference query returns the identical sequence.
+  const auto ref = index.QueryReference(p, radius, net.NumEdges());
+  EXPECT_EQ(ref.size(), expected.size()) << where;
+  for (size_t i = 0; i < std::min(ref.size(), expected.size()); ++i) {
+    EXPECT_EQ(ref[i].edge, expected[i].edge) << where;
+    EXPECT_EQ(ref[i].distance_m, expected[i].distance_m) << where;
+  }
+  // The cap keeps the prefix of the same order.
+  const auto capped = index.Query(p, radius, 3);
+  EXPECT_EQ(capped.size(), std::min<size_t>(3, expected.size())) << where;
+  for (size_t i = 0; i < std::min(capped.size(), expected.size()); ++i) {
+    EXPECT_EQ(capped[i].edge, expected[i].edge) << where;
+  }
+  return expected.size();
+}
+
+const std::vector<double> kRadii = {15.0, 60.0, 140.0, 400.0};
+
 // Exactness: the grid index must return the same candidate set as a brute
 // force scan over every edge, in the pinned (distance, edge id) order.
 TEST(SpatialIndexTest, QueryMatchesBruteForceExactly) {
   const auto net = SmallGrid();
   SpatialIndex index(&net);
-  const std::vector<double> radii = {15.0, 60.0, 140.0, 400.0};
   for (roadnet::EdgeId probe = 0;
        probe < static_cast<roadnet::EdgeId>(net.NumEdges()); probe += 37) {
-    const auto p = net.EdgeMidpoint(probe);
-    for (double radius : radii) {
-      std::vector<EdgeCandidate> expected;
-      for (roadnet::EdgeId e = 0;
-           e < static_cast<roadnet::EdgeId>(net.NumEdges()); ++e) {
-        const auto& edge = net.edge(e);
-        const double d = roadnet::PointToSegmentMeters(
-            p, net.vertex(edge.from).pos, net.vertex(edge.to).pos);
-        if (d <= radius) expected.push_back({e, d});
-      }
-      std::sort(expected.begin(), expected.end(),
-                [](const EdgeCandidate& a, const EdgeCandidate& b) {
-                  return a.distance_m != b.distance_m
-                             ? a.distance_m < b.distance_m
-                             : a.edge < b.edge;
-                });
-      const auto got = index.Query(p, radius, net.NumEdges());
-      ASSERT_EQ(got.size(), expected.size()) << "radius " << radius;
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].edge, expected[i].edge);
-        EXPECT_EQ(got[i].distance_m, expected[i].distance_m);
-      }
-      // The seed-era reference query returns the identical sequence.
-      const auto ref = index.QueryReference(p, radius, net.NumEdges());
-      ASSERT_EQ(ref.size(), expected.size()) << "radius " << radius;
-      for (size_t i = 0; i < ref.size(); ++i) {
-        EXPECT_EQ(ref[i].edge, expected[i].edge);
-        EXPECT_EQ(ref[i].distance_m, expected[i].distance_m);
-      }
-      // The cap keeps the prefix of the same order.
-      const auto capped = index.Query(p, radius, 3);
-      for (size_t i = 0; i < capped.size(); ++i) {
-        EXPECT_EQ(capped[i].edge, expected[i].edge);
+    for (double radius : kRadii) {
+      ExpectQueryMatchesBruteForce(net, index, net.EdgeMidpoint(probe), radius);
+    }
+  }
+}
+
+// Fixes outside the grid's cell extent: just past the outermost edges (the
+// query's own cell is outside the extent but in-range edges are not), and
+// about 100 km away (nothing in range).
+TEST(SpatialIndexTest, QueryOutsideGridExtentMatchesBruteForce) {
+  const auto net = SmallGrid();
+  SpatialIndex index(&net);
+  double min_lat = 90.0, max_lat = -90.0, min_lon = 180.0, max_lon = -180.0;
+  for (roadnet::VertexId v = 0;
+       v < static_cast<roadnet::VertexId>(net.NumVertices()); ++v) {
+    min_lat = std::min(min_lat, net.vertex(v).pos.lat);
+    max_lat = std::max(max_lat, net.vertex(v).pos.lat);
+    min_lon = std::min(min_lon, net.vertex(v).pos.lon);
+    max_lon = std::max(max_lon, net.vertex(v).pos.lon);
+  }
+  const double mid_lat = 0.5 * (min_lat + max_lat);
+  const double mid_lon = 0.5 * (min_lon + max_lon);
+  const double past = 0.003;  // ~300 m of latitude, ~290 m of longitude
+  const std::vector<roadnet::LatLon> near = {
+      {max_lat + past, mid_lon}, {min_lat - past, mid_lon},
+      {mid_lat, max_lon + past}, {mid_lat, min_lon - past},
+      {max_lat + past, max_lon + past}, {min_lat - past, min_lon - past}};
+  size_t in_range = 0;
+  for (const auto& p : near) {
+    for (double radius : kRadii) {
+      in_range += ExpectQueryMatchesBruteForce(net, index, p, radius);
+    }
+  }
+  EXPECT_GT(in_range, 0u);  // the 400 m radius reaches back into the grid
+  const std::vector<roadnet::LatLon> far = {
+      {mid_lat + 0.9, mid_lon}, {mid_lat - 0.9, mid_lon},
+      {mid_lat, mid_lon + 1.05}, {mid_lat, mid_lon - 1.05}};
+  for (const auto& p : far) {
+    for (double radius : kRadii) {
+      EXPECT_EQ(ExpectQueryMatchesBruteForce(net, index, p, radius), 0u);
+    }
+  }
+}
+
+// Fixes exactly on cell boundaries, computed with the index's own cell
+// size (250 m) and longitude scale (fixed at vertex 0's latitude).
+TEST(SpatialIndexTest, QueryOnCellBoundariesMatchesBruteForce) {
+  const auto net = SmallGrid();
+  SpatialIndex index(&net);
+  const double cell_lat = 250.0 / 111320.0;
+  const double cell_lon =
+      250.0 / (111320.0 * std::cos(net.vertex(0).pos.lat * 3.14159265358979 /
+                                   180.0));
+  for (roadnet::EdgeId probe = 0;
+       probe < static_cast<roadnet::EdgeId>(net.NumEdges()); probe += 53) {
+    const auto mid = net.EdgeMidpoint(probe);
+    const double lat = std::floor(mid.lat / cell_lat) * cell_lat;
+    const double lon = std::floor(mid.lon / cell_lon) * cell_lon;
+    for (const roadnet::LatLon& p : {roadnet::LatLon{lat, lon},
+                                     roadnet::LatLon{lat, mid.lon},
+                                     roadnet::LatLon{mid.lat, lon}}) {
+      for (double radius : kRadii) {
+        ExpectQueryMatchesBruteForce(net, index, p, radius);
       }
     }
   }
+}
+
+// Negative latitude and longitude: floor() cell indices are negative and
+// the grid's origin cell is not 0. One city straddles the equator and the
+// prime meridian, the other lies wholly in the south-western quadrant.
+TEST(SpatialIndexTest, QueryAtNegativeCoordinatesMatchesBruteForce) {
+  for (const auto& [lat, lon] : {std::pair{-0.005, -0.005},
+                                 std::pair{-33.45, -70.65}}) {
+    roadnet::GridCityConfig cfg;
+    cfg.rows = 8;
+    cfg.cols = 8;
+    cfg.origin_lat = lat;
+    cfg.origin_lon = lon;
+    const auto net = roadnet::BuildGridCity(cfg);
+    SpatialIndex index(&net);
+    size_t in_range = 0;
+    for (roadnet::EdgeId probe = 0;
+         probe < static_cast<roadnet::EdgeId>(net.NumEdges()); probe += 11) {
+      for (double radius : kRadii) {
+        in_range +=
+            ExpectQueryMatchesBruteForce(net, index, net.EdgeMidpoint(probe),
+                                         radius);
+      }
+    }
+    EXPECT_GT(in_range, 0u);
+  }
+}
+
+TEST(SpatialIndexTest, OneEdgeNetworkMatchesBruteForce) {
+  roadnet::RoadNetwork net;
+  const auto a = net.AddVertex({30.0, 104.0});
+  const auto b = net.AddVertex({30.003, 104.004});  // crosses several cells
+  net.AddEdge(a, b);
+  net.Build();
+  SpatialIndex index(&net);
+  const std::vector<roadnet::LatLon> probes = {
+      net.vertex(a).pos, net.vertex(b).pos, net.EdgeMidpoint(0),
+      {30.0015, 104.0025}, {29.9995, 103.9995}, {30.9, 104.0}};
+  size_t in_range = 0;
+  for (const auto& p : probes) {
+    for (double radius : kRadii) {
+      in_range += ExpectQueryMatchesBruteForce(net, index, p, radius);
+    }
+  }
+  EXPECT_GT(in_range, 0u);
 }
 
 // Two line subnetworks ~2.2 km apart with no connecting edge: the gap is

@@ -190,6 +190,39 @@ TEST(EdgeDistanceTableTest, BitIdenticalToLiveSearch) {
   EXPECT_GT(table.NumEntries(), net.NumEdges());  // beyond the diagonal
 }
 
+// The first and last source rows bound the CSR offsets; a destination
+// below or above every key of a row exercises both ends of the binary
+// search. A self-distance is 0 and a destination beyond the bound is -1.
+TEST(EdgeDistanceTableTest, FirstAndLastRowsSelfAndMissingDestinations) {
+  GridCityConfig cfg;
+  cfg.rows = 7;
+  cfg.cols = 7;
+  const RoadNetwork net = BuildGridCity(cfg);
+  const double bound = 300.0;
+  EdgeDistanceTable table;
+  table.Build(net, bound);
+  EdgeDijkstra search(&net);
+  const EdgeId last = static_cast<EdgeId>(net.NumEdges()) - 1;
+  for (EdgeId src : {EdgeId{0}, last}) {
+    EXPECT_EQ(table.DistanceTo(src, src), 0.0) << src;
+    search.Run(src, bound);
+    size_t missing = 0;
+    for (EdgeId dst = 0; dst <= last; ++dst) {
+      const double live = search.DistanceTo(dst);
+      if (live >= 0.0) {
+        EXPECT_EQ(table.DistanceTo(src, dst), live) << src << "->" << dst;
+      } else {
+        EXPECT_EQ(table.DistanceTo(src, dst), -1.0) << src << "->" << dst;
+        ++missing;
+      }
+    }
+    EXPECT_GT(missing, 0u) << src;
+    // The row's extreme destinations: 0 and the last edge.
+    EXPECT_EQ(table.DistanceTo(src, 0), search.DistanceTo(0));
+    EXPECT_EQ(table.DistanceTo(src, last), search.DistanceTo(last));
+  }
+}
+
 TEST(AlternativeRoutesTest, FindsDistinctRoutes) {
   const RoadNetwork net = MakeDiamond();
   const auto routes = AlternativeRoutes(net, 0, 1, 2);

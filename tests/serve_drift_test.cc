@@ -303,6 +303,29 @@ TEST_F(DriftTest, EvictedTripsAreNeverHarvested) {
   EXPECT_EQ(downstream.NumFinished(), 0u);
 }
 
+TEST_F(DriftTest, QuarantineNoticesReachDownstream) {
+  CollectingSink downstream;
+  FleetConfig fleet;
+  fleet.guard.duplicate_policy = GuardPolicy::kRepair;
+  fleet.guard.malformed_budget = 1;
+  fleet.guard.quarantine_evict_points = 0;  // stay quarantined, no eviction
+  DriftAdapter adapter(net_, TrainedClone(), fleet, HarvestOnly(),
+                       &downstream);
+  const auto& t = (*dataset_)[0].traj;
+  ASSERT_TRUE(adapter.monitor()->StartTrip(1, t.sd(), 0.0).ok());
+  ASSERT_TRUE(adapter.monitor()->Feed(1, t.edges[0], 2.0).ok());
+  // Two exact duplicates: the first is a repaired strike within the budget,
+  // the second exceeds it and quarantines the trip.
+  EXPECT_FALSE(adapter.monitor()->Feed(1, t.edges[0], 2.0).ok());
+  EXPECT_EQ(adapter.monitor()->Feed(1, t.edges[0], 2.0).status().code(),
+            StatusCode::kResourceExhausted);
+  auto quarantined = adapter.monitor()->TripQuarantined(1);
+  ASSERT_TRUE(quarantined.ok());
+  EXPECT_TRUE(*quarantined);
+  EXPECT_EQ(adapter.monitor()->Stats().trips_quarantined, 1);
+  EXPECT_EQ(downstream.NumQuarantined(), 1u);
+}
+
 TEST_F(DriftTest, HarvestBufferIsBoundedOldestFirst) {
   DriftConfig dc = HarvestOnly();
   dc.max_buffer_trips = 4;

@@ -4,7 +4,12 @@
 // 32, 128}) of the one streaming model step at each layer (LSTM cell,
 // RSRNet step, detector FeedBatch), reported per *point*. Width 1 is the
 // single-trip step that Session::Feed and FleetMonitor::Feed run, so
-// `/1` rows are the per-point costs of the paper's Fig. 3.
+// `/1` rows are the per-point costs of the paper's Fig. 3. The two training
+// kernels behind Table V's embed and RSRNet warm-start phases (negative
+// sampling, the Adam step) have a row each.
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 
 #include <benchmark/benchmark.h>
@@ -13,6 +18,7 @@
 #include "core/detector.h"
 #include "io/checkpoint.h"
 #include "io/model_io.h"
+#include "nn/adam.h"
 #include "nn/lstm.h"
 #include "roadnet/shortest_path.h"
 #include "serve/fleet.h"
@@ -102,6 +108,60 @@ void BM_RsrTrainStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RsrTrainStep);
+
+void BM_CategoricalSample(benchmark::State& state) {
+  // One skip-gram negative draw: word2vec's smoothed unigram
+  // pow(count + 1, 0.75) over the network's edges, counted on the training
+  // trajectories (SkipGramTrainer's distribution).
+  auto& f = Fixture();
+  std::vector<double> unigram(f.city.net.NumEdges(), 0.0);
+  for (const auto& lt : f.city.train.trajs()) {
+    for (auto e : lt.traj.edges) unigram[e] += 1.0;
+  }
+  for (double& u : unigram) u = std::pow(u + 1.0, 0.75);
+  CategoricalSampler sampler(unigram);
+  Rng rng(5);
+  for (auto _ : state) benchmark::DoNotOptimize(sampler.Sample(&rng));
+  state.SetItemsProcessed(state.iterations());
+  state.counters["n"] = static_cast<double>(unigram.size());
+}
+BENCHMARK(BM_CategoricalSample);
+
+void BM_AdamStep(benchmark::State& state) {
+  // One Adam step over an RSRNet-shaped registry (row-sparse TCF and NRF
+  // embedding tables, the LSTM, the head) with a warm active set: every
+  // edge of the training trajectories has been touched, as after a
+  // warm-start epoch. Items are element updates.
+  auto& f = Fixture();
+  core::RsrNet net(f.model.rsrnet().config());
+  nn::ParameterRegistry* reg = net.registry();
+  nn::AdamOptimizer opt(reg, {});
+  int64_t elements = 0;
+  for (auto* p : reg->params()) {
+    if (!p->row_sparse) {
+      std::fill(p->grad.data(), p->grad.data() + p->grad.size(), 0.01f);
+      elements += static_cast<int64_t>(p->grad.size());
+      continue;
+    }
+    const size_t rows = p->grad.rows();
+    for (const auto& lt : f.city.train.trajs()) {
+      for (auto e : lt.traj.edges) {
+        const size_t r = static_cast<size_t>(e) % rows;
+        p->TouchGradRow(r);
+        std::fill(p->grad.Row(r), p->grad.Row(r) + p->grad.cols(), 0.01f);
+      }
+    }
+    for (uint64_t word : p->touched_bits) {
+      elements += std::popcount(word) * static_cast<int64_t>(p->grad.cols());
+    }
+  }
+  for (auto _ : state) {
+    opt.Step();
+    benchmark::DoNotOptimize(reg->params().front()->value.data());
+  }
+  state.SetItemsProcessed(state.iterations() * elements);
+}
+BENCHMARK(BM_AdamStep);
 
 void BM_FleetFeed(benchmark::State& state) {
   // Per-point cost through the full service layer (shard lock + session +

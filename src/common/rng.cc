@@ -1,9 +1,11 @@
 #include "common/rng.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+
+#include "common/logging.h"
 
 namespace rl4oasd {
 
@@ -126,6 +128,33 @@ CategoricalSampler::CategoricalSampler(const std::vector<double>& weights) {
   // n * ulp(total) / 2 of the real prefix sums; 4x that covers both sides
   // with margin. Draws inside the band replay the exact scan.
   guard_ = 4.0 * static_cast<double>(n) * (total_ * 0x1.0p-52);
+  if (total_ <= 0.0) return;
+  RL4_CHECK(n <= UINT32_MAX) << "CategoricalSampler: " << n << " weights";
+  // One ascending pass: bucket edges and prefix sums both increase, so each
+  // bucket's start resumes where the previous one stopped. Where an edge
+  // computed here and a bucket computed in Locate round apart, Locate's
+  // two-way walk absorbs it; the guide only has to be close.
+  buckets_per_unit_ = static_cast<double>(n) / total_;
+  guide_.resize(n);
+  size_t idx = 0;
+  for (size_t j = 0; j < n; ++j) {
+    const double edge =
+        static_cast<double>(j) * total_ / static_cast<double>(n);
+    while (idx + 1 < n && prefix_[idx + 1] <= edge) ++idx;
+    guide_[j] = static_cast<uint32_t>(idx);
+  }
+}
+
+size_t CategoricalSampler::Locate(double r) const {
+  const size_t n = weights_.size();
+  // A NaN position (non-finite total) fails the compare and starts from the
+  // last bucket; the walk then stays put and Sample's guard test rejects it.
+  const double pos = r * buckets_per_unit_;
+  size_t idx = guide_[pos < static_cast<double>(n) ? static_cast<size_t>(pos)
+                                                   : n - 1];
+  while (idx < n && prefix_[idx + 1] <= r) ++idx;
+  while (prefix_[idx] > r) --idx;  // prefix_[0] = 0 <= r stops the walk
+  return idx;
 }
 
 size_t CategoricalSampler::Sample(Rng* rng) const {
@@ -133,13 +162,14 @@ size_t CategoricalSampler::Sample(Rng* rng) const {
   const size_t n = weights_.size();
   if (total_ <= 0.0) return rng->UniformInt(n);
   const double r = rng->Uniform() * total_;
-  const auto it = std::upper_bound(prefix_.begin() + 1, prefix_.end(), r);
-  const size_t idx = static_cast<size_t>(it - prefix_.begin()) - 1;
+  const size_t idx = Locate(r);
+  // The guard test also certifies the bracket: an idx with r outside
+  // [prefix_[idx], prefix_[idx + 1]) always fails it.
   if (idx < n && r - prefix_[idx] > guard_ && prefix_[idx + 1] - r > guard_) {
     return idx;
   }
-  // Near a prefix boundary (or rounded past the last one): the binary
-  // search is not certifiably equal to the scan, so run the scan itself.
+  // Near a prefix boundary (or rounded past the last one): the bracket is
+  // not certifiably equal to the scan, so run the scan itself.
   double rem = r;
   for (size_t i = 0; i < n; ++i) {
     if (rem < weights_[i]) return i;

@@ -63,7 +63,7 @@ class Rng {
   /// Non-positive weights are treated as zero; if all are zero, samples
   /// uniformly. O(weights.size()) per draw — for repeated draws from a
   /// fixed weight vector use CategoricalSampler, which replays this exact
-  /// draw sequence in O(log n).
+  /// draw sequence in O(1) expected time per draw.
   size_t Categorical(const std::vector<double>& weights);
 
   /// Fisher-Yates shuffle.
@@ -88,13 +88,21 @@ class Rng {
 
 /// Repeated categorical sampling from a FIXED weight vector, bit-identical
 /// to calling rng.Categorical(weights) (same indices, same RNG consumption)
-/// but O(log n) per draw instead of O(n).
+/// but O(1) expected per draw instead of O(n).
+///
+/// The draw is still inverse-CDF sampling of the one uniform Categorical
+/// takes: r = u * total is bracketed between two precomputed prefix sums.
+/// A guide table (Chen & Asau 1974; Devroye, "Non-Uniform Random Variate
+/// Generation", III.2.4) splits [0, total) into n equal buckets and records
+/// the interval holding each bucket's lower edge, so the bracket is found by
+/// a short walk from r's bucket, not a binary search. The walk runs both
+/// ways, so rounding at a bucket edge can never skip past the answer.
 ///
 /// Why the results match exactly: Categorical's subtractive scan
 /// (r -= w_i until r < w_i) is a monotone step function of the drawn
 /// uniform, and its floating-point value stays within a provable error band
 /// of the real prefix sums. When the draw lands farther than `guard_` from
-/// the two bracketing precomputed prefix sums, the binary-search index and
+/// the two bracketing precomputed prefix sums, the bracket's index and
 /// the scan's index are necessarily equal; in the astronomically rare
 /// near-boundary case (probability ~n^2 * 2^-50 per draw) the sampler
 /// replays the original scan verbatim. Negative-sampling loops (skip-gram)
@@ -106,12 +114,22 @@ class CategoricalSampler {
   /// Draws one index; consumes the RNG exactly like Rng::Categorical.
   size_t Sample(Rng* rng) const;
 
+  /// The bracket search Sample runs on r = u * total() before its guard
+  /// test: the largest idx in [0, n] with prefix[idx] <= r, where
+  /// prefix[i] is the clamped ascending sum of the first i weights (so n
+  /// when r >= total()). Requires total() > 0.
+  size_t Locate(double r) const;
+
   double total() const { return total_; }
 
  private:
   std::vector<double> weights_;  // clamped copy (w <= 0 -> 0), scan fallback
   std::vector<double> prefix_;   // prefix_[i] = clamped sum of weights_[0..i)
+  /// guide_[j] = the largest idx < n with prefix_[idx] <= j * total_ / n;
+  /// empty when total_ <= 0.
+  std::vector<uint32_t> guide_;
   double total_ = 0.0;           // == Categorical's own clamped sum
+  double buckets_per_unit_ = 0.0;  // n / total_: r's bucket is r * this
   double guard_ = 0.0;           // boundary band where the scan is replayed
 };
 

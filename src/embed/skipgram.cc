@@ -81,7 +81,7 @@ void SkipGramTrainer::UpdatePair(EdgeId center, EdgeId context, double lr) {
   for (int k = 0; k < config_.negatives; ++k) {
     // Negative sampling is the inner loop of the whole embed phase;
     // neg_sampler_ replays rng_.Categorical(unigram_) draw-for-draw in
-    // O(log n) instead of two O(n) passes.
+    // O(1) expected time instead of two O(n) passes.
     EdgeId neg = static_cast<EdgeId>(neg_sampler_->Sample(&rng_));
     if (neg == context || neg == center) continue;
     step(neg, 0.0f);

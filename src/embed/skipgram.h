@@ -65,7 +65,7 @@ class SkipGramTrainer {
   nn::Matrix aux_w_; // 3 x dim road-class head
   std::vector<float> grad_in_;  // UpdatePair's center-gradient scratch
   std::vector<double> unigram_;  // negative-sampling distribution (pow 0.75)
-  /// O(log n) negative sampler over unigram_, rebuilt by Train after
+  /// O(1)-per-draw negative sampler over unigram_, rebuilt by Train after
   /// BuildCorpus; bit-identical to rng_.Categorical(unigram_).
   std::unique_ptr<CategoricalSampler> neg_sampler_;
 };

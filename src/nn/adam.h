@@ -31,6 +31,11 @@ class AdamOptimizer {
 
   int64_t step_count() const { return t_; }
 
+  /// First and second moment estimates of registry parameter k, laid out
+  /// like its value.
+  const Matrix& first_moment(size_t k) const { return m_[k]; }
+  const Matrix& second_moment(size_t k) const { return v_[k]; }
+
  private:
   ParameterRegistry* registry_;
   AdamConfig config_;

@@ -1,6 +1,7 @@
 // Tests for Status/Result, Rng, string utilities, and CSV I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -144,11 +145,23 @@ TEST(RngTest, CategoricalAllZeroFallsBackToUniform) {
   EXPECT_LT(c0, 700);
 }
 
-TEST(RngTest, CategoricalSamplerReplaysCategoricalExactly) {
-  // The sampler's contract is draw-for-draw bit-identity with
-  // Rng::Categorical on a fixed weight vector: same indices AND same RNG
-  // consumption, across skewed, uniform, zero-padded, and tiny/huge weight
-  // shapes (the skip-gram unigram distribution is the production user).
+// A skip-gram-shaped negative-sampling distribution: word2vec's smoothed
+// unigram pow(count + 1, 0.75) over n edges with heavy-tailed counts.
+std::vector<double> SkipGramUnigram(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> w(n);
+  for (double& x : w) {
+    const double count = std::floor(std::exp(rng.Uniform(0.0, 8.0)));
+    x = std::pow(count + 1.0, 0.75);
+  }
+  return w;
+}
+
+// Weight vectors that stress CategoricalSampler's guide table: the random
+// shapes (n = 1, skewed, uniform, zero-padded, tiny/huge, negative) plus
+// bucket-edge and run-length extremes.
+std::vector<std::vector<double>> SamplerShapes() {
+  std::vector<std::vector<double>> shapes;
   Rng shape_rng(99);
   for (int shape = 0; shape < 6; ++shape) {
     std::vector<double> w;
@@ -162,6 +175,36 @@ TEST(RngTest, CategoricalSamplerReplaysCategoricalExactly) {
       if (shape == 5 && i % 2 == 0) v = -v;       // negatives clamp to zero
       w.push_back(v);
     }
+    shapes.push_back(w);
+  }
+  // All-equal weights: every prefix sum falls exactly on a bucket edge
+  // (exact sums for 1.0; rounded ones for 0.1).
+  shapes.push_back(std::vector<double>(1000, 1.0));
+  shapes.push_back(std::vector<double>(999, 0.1));
+  shapes.push_back(std::vector<double>(3, 1.0 / 3.0));
+  // Long leading and trailing zero runs around a short positive middle.
+  std::vector<double> runs(3000, 0.0);
+  for (size_t i = 1000; i < 1010; ++i) {
+    runs[i] = 1.0 + static_cast<double>(i % 3);
+  }
+  shapes.push_back(runs);
+  // One dominant weight among 10^4 tiny ones.
+  std::vector<double> dominant(10001, 1e-6);
+  dominant[5000] = 1e3;
+  shapes.push_back(dominant);
+  shapes.push_back({0.3, 0.7});  // n = 2
+  shapes.push_back({0.0, 2.5});
+  shapes.push_back(SkipGramUnigram(4984, 7));
+  return shapes;
+}
+
+TEST(RngTest, CategoricalSamplerReplaysCategoricalExactly) {
+  // The sampler's contract is draw-for-draw bit-identity with
+  // Rng::Categorical on a fixed weight vector: same indices AND same RNG
+  // consumption (the skip-gram unigram distribution is the production user).
+  const auto shapes = SamplerShapes();
+  for (size_t shape = 0; shape < shapes.size(); ++shape) {
+    const auto& w = shapes[shape];
     CategoricalSampler sampler(w);
     Rng a(1234 + shape);
     Rng b(1234 + shape);
@@ -171,6 +214,112 @@ TEST(RngTest, CategoricalSamplerReplaysCategoricalExactly) {
     }
     // Identical RNG consumption: the streams must still be in lockstep.
     EXPECT_EQ(a.NextU64(), b.NextU64()) << "shape " << shape;
+  }
+}
+
+// Rng::Categorical's draw for each uniform u[k] over w, given the clamped
+// total Categorical computes first: its subtractive scan, per draw
+// unchanged, with the independent draws interleaved so that a million
+// draws over ~5k weights stay cheap.
+template <size_t B>
+void CategoricalScan(const std::vector<double>& w, double total,
+                     const double (&u)[B], size_t (&out)[B]) {
+  double rem[B];
+  bool done[B];
+  for (size_t k = 0; k < B; ++k) {
+    rem[k] = u[k] * total;
+    out[k] = w.size() - 1;
+    done[k] = false;
+  }
+  size_t left = B;
+  for (size_t i = 0; i < w.size() && left > 0; ++i) {
+    const double wi = w[i] > 0.0 ? w[i] : 0.0;
+    for (size_t k = 0; k < B; ++k) {
+      if (done[k]) continue;
+      if (rem[k] < wi) {
+        out[k] = i;
+        done[k] = true;
+        --left;
+      } else {
+        rem[k] -= wi;
+      }
+    }
+  }
+}
+
+TEST(RngTest, CategoricalSamplerReplaysAMillionSkipGramDraws) {
+  const auto w = SkipGramUnigram(4984, 11);
+  double total = 0.0;
+  for (double x : w) total += (x > 0.0 ? x : 0.0);
+  CategoricalSampler sampler(w);
+  ASSERT_EQ(sampler.total(), total);
+  Rng a(2024);
+  Rng b(2024);
+  // The scan reference is Categorical itself, checked on a prefix.
+  for (int i = 0; i < 2000; ++i) {
+    Rng c = b;
+    const size_t want = c.Categorical(w);
+    double u[1] = {b.Uniform()};
+    size_t out[1];
+    CategoricalScan(w, total, u, out);
+    ASSERT_EQ(out[0], want) << "draw " << i;
+    ASSERT_EQ(sampler.Sample(&a), want) << "draw " << i;
+  }
+  constexpr size_t kBlock = 16;
+  for (int block = 0; block < 1000000 / static_cast<int>(kBlock); ++block) {
+    double u[kBlock];
+    size_t want[kBlock];
+    size_t got[kBlock];
+    for (size_t k = 0; k < kBlock; ++k) {
+      got[k] = sampler.Sample(&a);
+      u[k] = b.Uniform();  // Categorical's one uniform per draw
+    }
+    CategoricalScan(w, total, u, want);
+    for (size_t k = 0; k < kBlock; ++k) {
+      ASSERT_EQ(got[k], want[k]) << "block " << block << " draw " << k;
+    }
+  }
+  EXPECT_EQ(a.NextU64(), b.NextU64());
+}
+
+TEST(RngTest, CategoricalSamplerLocateMatchesBinarySearch) {
+  // Locate is the guide-table bracket search Sample certifies with its
+  // guard test. Pin it directly at every prefix sum and bucket edge and a
+  // few ulps either side, where rounding of the bucket index or of the
+  // edges would send a one-way or mis-started walk to the wrong interval
+  // (Sample's guard test would then hide it behind the O(n) scan).
+  for (const auto& w : SamplerShapes()) {
+    CategoricalSampler sampler(w);
+    const size_t n = w.size();
+    std::vector<double> prefix(n + 1, 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      prefix[i + 1] = prefix[i] + (w[i] > 0.0 ? w[i] : 0.0);
+    }
+    const double total = prefix[n];
+    ASSERT_EQ(sampler.total(), total);
+    std::vector<double> points(prefix);
+    for (size_t j = 0; j < n; ++j) {
+      points.push_back(static_cast<double>(j) * total /
+                       static_cast<double>(n));
+      points.push_back(static_cast<double>(j) / (static_cast<double>(n) /
+                                                 total));
+    }
+    for (double p : points) {
+      double lo = p;
+      double hi = p;
+      for (int ulps = 0; ulps <= 3; ++ulps) {
+        for (double r : {lo, hi}) {
+          if (r < 0.0 || r > total) continue;
+          const size_t want = static_cast<size_t>(
+              std::upper_bound(prefix.begin() + 1, prefix.end(), r) -
+              prefix.begin() - 1);
+          ASSERT_EQ(sampler.Locate(r), want)
+              << "n " << n << " r " << r << " total " << total;
+        }
+        lo = std::nextafter(lo, 0.0);
+        hi = std::nextafter(hi, total);
+      }
+    }
   }
 }
 
